@@ -38,7 +38,13 @@ class NegativeMultiplicity(ValueError):
 
 
 class DimensionBoundExceeded(RuntimeError):
-    pass
+    """A brute-force enumeration would exceed the total-dimension bound."""
+
+    def __init__(self, what: str, bound: int) -> None:
+        super().__init__(
+            f"{what} exceeds the dimension bound {bound}; "
+            "raise it with the environment variable JHP_LAB_BOUND"
+        )
 
 
 class EnumerationOverflow(RuntimeError):
@@ -54,7 +60,17 @@ class InvalidSpec(ValueError):
 
 
 def dimension_bound() -> int:
-    return int(os.environ.get("JHP_LAB_BOUND", str(DEFAULT_DIMENSION_BOUND)))
+    """The total-dimension bound: JHP_LAB_BOUND if set, else the default."""
+    text = os.environ.get("JHP_LAB_BOUND")
+    if text is None:
+        return DEFAULT_DIMENSION_BOUND
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ValueError(f"JHP_LAB_BOUND must be a positive integer, got {text!r}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +696,7 @@ def enumerate_subreps(X: Rep, bound: int | None = None) -> list[SubRep]:
     if bound is None:
         bound = dimension_bound()
     if X.total_dim > bound:
-        raise DimensionBoundExceeded(
-            f"total dimension {X.total_dim} exceeds bound {bound}"
-        )
+        raise DimensionBoundExceeded(f"total dimension {X.total_dim}", bound)
     nv = X.algebra.vertices
     arrows = [(a, s - 1, t - 1) for a, (_, s, t) in enumerate(X.algebra.arrows)]
     check_at = [[] for _ in range(nv)]
@@ -1189,9 +1203,7 @@ def conflations_up_to(
     if bound is None:
         bound = dimension_bound()
     if maxlen > bound:
-        raise DimensionBoundExceeded(
-            f"middle length {maxlen} exceeds the dimension bound {bound}"
-        )
+        raise DimensionBoundExceeded(f"middle length {maxlen}", bound)
     pairs: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     summand_closed = E.rep_pred is None and E.dim_pred is None
 
@@ -1341,9 +1353,7 @@ def torsion_free_classes(E: Membership, check_len: int) -> list[frozenset[int]]:
         raise InvalidSpec("need a complete catalogue")
     bound = dimension_bound()
     if check_len > bound:
-        raise DimensionBoundExceeded(
-            f"check length {check_len} exceeds the dimension bound {bound}"
-        )
+        raise DimensionBoundExceeded(f"check length {check_len}", bound)
     cat = E.catalogue
     lengths = [c.total_dim for c in cat]
     facts = []  # (y_classes, [(u_classes, q_classes)])

@@ -14,6 +14,7 @@ with ties broken by ascending index.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
@@ -108,7 +109,11 @@ def bruhat_inversions(w: Perm) -> frozenset[Transposition]:
     These are exactly the inversions t with length(t*w) = length(w) - 1,
     i.e. the ones giving covers in the Bruhat order.
     """
-    inv = inversions(w)
+    return bruhat_inversions_among(inversions(w))
+
+
+def bruhat_inversions_among(inv: frozenset[Transposition]) -> frozenset[Transposition]:
+    """The Bruhat inversions of the permutation whose inversion set is inv."""
     return frozenset(
         (i, j)
         for (i, j) in inv
@@ -339,24 +344,49 @@ def all_perms(rank: int):
     return (tuple(p) for p in _itertools_permutations(range(1, rank + 1)))
 
 
+def c_sorting_words(c: CoxeterWord) -> Iterator[tuple[Perm, tuple[int, ...]]]:
+    """Every c-sortable element once, with the positions of its c-sorting word.
+
+    Position r*n + k stands for the letter c.word[k] in round r of c
+    repeated forever.  Depth-first search over words whose rounds are
+    nested subwords of c: at each position a letter still allowed is
+    either taken, when it lengthens the product, or dropped from every
+    later round.  Such a reduced word is always the greedy word of its
+    product, because a dropped letter never occurs again and so is never
+    a left descent of what remains; hence each element appears exactly
+    once, in Catalan time and with a stack of O(n^2) entries.
+    """
+    n, word = c.n, c.word
+    v = list(identity_perm(c.rank))
+    taken: list[int] = []
+    # pending branches: (next position, allowed letters as a bitmask, len(taken))
+    pending = [(0, (1 << n + 1) - 2, 0)]
+    while pending:
+        p, allowed, depth = pending.pop()
+        while len(taken) > depth:
+            i = word[taken.pop() % n]
+            v[i - 1], v[i] = v[i], v[i - 1]
+        while allowed:
+            i = word[p % n]
+            if allowed >> i & 1:
+                rest = allowed & ~(1 << i)
+                if v[i - 1] < v[i]:
+                    # branch on dropping i; continue by taking it
+                    if rest:
+                        pending.append((p + 1, rest, len(taken)))
+                    else:
+                        yield tuple(v), tuple(taken)
+                    v[i - 1], v[i] = v[i], v[i - 1]
+                    taken.append(p)
+                else:
+                    allowed = rest
+            p += 1
+        yield tuple(v), tuple(taken)
+
+
 def enumerate_c_sortable(c: CoxeterWord) -> list[Perm]:
     """All c-sortable elements, ordered by length then one-line word."""
-    out = [w for w in all_perms(c.rank) if is_c_sortable(w, c)[0]]
-    out.sort(key=lambda w: (length(w), w))
-    return out
-
-
-def sort_key_positions(w: Perm, c: CoxeterWord) -> tuple[int, ...]:
-    """Positions of the greedy sorting word inside c repeated forever.
-
-    Sorting by (length, this key) reproduces the row order used in the
-    sortable-element tables.
-    """
-    key = []
-    for r, taken in enumerate(sorting_rounds(w, c)):
-        index_in_c = {i: k for k, i in enumerate(c.word)}
-        key.extend(r * c.n + index_in_c[i] for i in taken)
-    return tuple(key)
+    return [w for _, w in sorted((len(key), w) for w, key in c_sorting_words(c))]
 
 
 def is_231_avoiding(w: Perm) -> bool:

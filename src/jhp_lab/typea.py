@@ -20,13 +20,13 @@ from .symgroup import (
     Orientation,
     Perm,
     bruhat_inversions,
+    bruhat_inversions_among,
+    c_sorting_words,
     coxeter_element,
     enumerate_c_sortable,
     format_perm,
     inversions,
     is_c_sortable,
-    length,
-    sort_key_positions,
     support,
 )
 
@@ -136,10 +136,10 @@ def census(q: Orientation) -> tuple[int, int, int]:
     total = jhp = faithful_jhp = 0
     for w in enumerate_c_sortable(c):
         total += 1
-        good = len(support(w)) == len(bruhat_inversions(w))
-        if good:
+        supp = support(w)
+        if len(supp) == len(bruhat_inversions(w)):
             jhp += 1
-            if support(w) == full:
+            if supp == full:
                 faithful_jhp += 1
     return total, jhp, faithful_jhp
 
@@ -159,20 +159,20 @@ class TableRow:
 
 
 def table_rows(q: Orientation, faithful_only: bool = False) -> list[TableRow]:
-    """Sortable-element table rows, ordered by length then sorting word."""
+    """Sortable-element table rows, ordered by length then sorting word.
+
+    The sorting word is compared by its positions in c repeated forever.
+    """
     c = coxeter_element(q)
     full = frozenset(range(1, q.n + 1))
     rows = []
-    for w in sorted(
-        enumerate_c_sortable(c), key=lambda w: (length(w), sort_key_positions(w, c))
-    ):
+    for _, _, w in sorted((len(key), key, w) for w, key in c_sorting_words(c)):
         supp = support(w)
         if faithful_only and supp != full:
             continue
-        binv = bruhat_inversions(w)
-        rows.append(
-            TableRow(w, supp, inversions(w), binv, len(binv), len(supp) == len(binv))
-        )
+        inv = inversions(w)
+        binv = bruhat_inversions_among(inv)
+        rows.append(TableRow(w, supp, inv, binv, len(binv), len(supp) == len(binv)))
     return rows
 
 
@@ -185,12 +185,14 @@ def format_index_set(s: frozenset[int]) -> str:
 
 
 def rows_to_csv(rows: list[TableRow]) -> str:
+    """CSV with one row per element; w is quoted when its ranks use commas."""
     lines = ["w,supp,inv,Binv,nsimp,jhp"]
     for r in rows:
+        w = format_perm(r.w)
         lines.append(
             ",".join(
                 [
-                    format_perm(r.w),
+                    f'"{w}"' if "," in w else w,
                     '"' + format_index_set(r.supp) + '"',
                     '"' + format_transposition_set(r.inv) + '"',
                     '"' + format_transposition_set(r.binv) + '"',

@@ -1,6 +1,8 @@
+import csv
 import json
 
 from jhp_lab import cli
+from jhp_lab.symgroup import parse_perm
 
 
 def run(capsys, *argv):
@@ -49,6 +51,16 @@ class TestTables:
         )
         assert code == 2 and "error" in err
 
+    def test_table2_rank10_quotes_w(self, capsys):
+        code, out, _ = run(capsys, "tables", "--which", "table2",
+                           "--quiver", "1<2>3<4>5<6>7<8>9")
+        assert code == 0
+        header, *rows = list(csv.reader(out.splitlines()))
+        assert header == ["w", "supp", "inv", "Binv", "nsimp", "jhp"]
+        assert len(rows) == 4862  # Catalan(9)
+        assert all(len(r) == 6 for r in rows)
+        assert all(len(parse_perm(r[0])) == 10 for r in rows)
+
     def test_deterministic(self, capsys):
         a = run(capsys, "tables", "--which", "table2")
         b = run(capsys, "tables", "--which", "table2")
@@ -77,6 +89,18 @@ class TestAnalyze:
     def test_bad_permutation_exit3(self, capsys):
         code, _, _ = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "1224")
         assert code == 3
+
+    def test_bad_dimension_bound_exit3(self, capsys, monkeypatch):
+        for value in ("abc", "0", "-2"):
+            monkeypatch.setenv("JHP_LAB_BOUND", value)
+            code, _, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "4321")
+            assert code == 3 and "JHP_LAB_BOUND" in err, value
+
+    def test_dimension_bound_exceeded_names_knob(self, capsys, monkeypatch):
+        monkeypatch.setenv("JHP_LAB_BOUND", "4")
+        code, _, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "4321",
+                           "--bound", "6")
+        assert code == 4 and "JHP_LAB_BOUND" in err
 
     def test_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "cayley.dot"

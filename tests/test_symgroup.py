@@ -1,6 +1,9 @@
 from itertools import product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jhp_lab.symgroup import (
     CoxeterWord,
@@ -8,6 +11,7 @@ from jhp_lab.symgroup import (
     RankMismatch,
     all_perms,
     bruhat_inversions,
+    c_sorting_words,
     compose,
     coxeter_element,
     enumerate_c_sortable,
@@ -29,6 +33,14 @@ from jhp_lab.symgroup import (
 
 def T(*pairs):
     return frozenset(pairs)
+
+
+def catalan(m):
+    return comb(2 * m, m) // (m + 1)
+
+
+def orientations(n):
+    return [Orientation(n, tuple(dirs)) for dirs in product("><", repeat=n - 1)]
 
 
 class TestInversions:
@@ -195,6 +207,59 @@ class TestEnumeration:
         c = coxeter_element(parse_orientation("1>2<3"))
         listed = enumerate_c_sortable(c)
         assert listed == sorted(listed, key=lambda w: (length(w), w))
+
+    def test_matches_greedy_filter_of_all_permutations(self):
+        for n in range(1, 7):
+            for q in orientations(n):
+                c = coxeter_element(q)
+                greedy = [w for w in all_perms(c.rank) if is_c_sortable(w, c)[0]]
+                greedy.sort(key=lambda w: (length(w), w))
+                assert enumerate_c_sortable(c) == greedy, str(q)
+
+    def test_linear_rank8_is_231_avoiding(self):
+        c = coxeter_element(Orientation(7, (">",) * 6))
+        avoiding = {w for w in all_perms(8) if is_231_avoiding(w)}
+        assert set(enumerate_c_sortable(c)) == avoiding
+
+    def test_every_rank8_orientation_gives_catalan_distinct(self):
+        for q in orientations(7):
+            elements = [w for w, _ in c_sorting_words(coxeter_element(q))]
+            assert len(set(elements)) == len(elements) == catalan(8), str(q)
+
+    def test_positions_spell_a_reduced_word_of_the_element(self):
+        for q in orientations(4):
+            c = coxeter_element(q)
+            for w, key in c_sorting_words(c):
+                assert list(key) == sorted(key) and len(key) == length(w)
+                out = identity_perm(c.rank)
+                for p in key:
+                    out = compose(out, simple_reflection(c.rank, c.word[p % c.n]))
+                assert out == w
+
+    def test_mirror_orientation_conjugates_by_w0(self):
+        def mirror(q):
+            flip = {">": "<", "<": ">"}
+            return Orientation(q.n, tuple(flip[d] for d in reversed(q.dirs)))
+
+        for n in range(1, 7):
+            w0 = tuple(range(n + 1, 0, -1))
+            for q in orientations(n):
+                got = set(enumerate_c_sortable(coxeter_element(mirror(q))))
+                assert got == {
+                    compose(w0, compose(w, w0))
+                    for w in enumerate_c_sortable(coxeter_element(q))
+                }, str(q)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.sampled_from("><"), min_size=n - 1, max_size=n - 1)
+        .map(lambda dirs: Orientation(n, tuple(dirs)))
+    ))
+    def test_property_sortable_distinct_catalan(self, q):
+        c = coxeter_element(q)
+        elements = [w for w, _ in c_sorting_words(c)]
+        assert len(set(elements)) == len(elements) == catalan(q.n + 1)
+        assert all(is_c_sortable(w, c)[0] for w in elements)
 
 
 class Test231:

@@ -12,6 +12,7 @@ from jhp_lab.symgroup import (
     inversions,
     parse_orientation,
     parse_perm,
+    sorting_rounds,
     support,
 )
 
@@ -168,6 +169,25 @@ class TestTables:
         assert [typea.format_perm(r.w) for r in rows[:3]] == [
             "24153", "42153", "24513"
         ]
+
+    def test_row_order_is_length_then_greedy_sorting_positions(self):
+        def greedy_key(w, c):
+            index_in_c = {i: k for k, i in enumerate(c.word)}
+            return [
+                r * c.n + index_in_c[i]
+                for r, taken in enumerate(sorting_rounds(w, c))
+                for i in taken
+            ]
+
+        for n in range(1, 6):
+            for dirs in product("><", repeat=n - 1):
+                q = Orientation(n, tuple(dirs))
+                c = coxeter_element(q)
+                want = sorted(
+                    enumerate_c_sortable(c),
+                    key=lambda w: (len(inversions(w)), greedy_key(w, c)),
+                )
+                assert [r.w for r in typea.table_rows(q)] == want, str(q)
 
     def test_csv_shape(self):
         csv = typea.rows_to_csv(typea.table_rows(Q3))
