@@ -6,7 +6,8 @@ Command-line front end.
     jhp-lab regress [--only NAME] [--spec FILE]
 
 Exit codes: 0 success, 2 I/O failure, 3 violated precondition or bad
-input, 4 resource bound exceeded.
+input, 4 resource bound exceeded (the message names the limit), 5 internal
+error (the program's own data are inconsistent).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_PRECONDITION = 3
 EXIT_BOUND = 4
+EXIT_INTERNAL = 5
 
 
 def _write(text: str, out: str | None) -> None:
@@ -125,10 +127,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (repkit.DimensionBoundExceeded, repkit.EnumerationOverflow,
-            monoid.EnumerationOverflow, monoid.SearchBoundExceeded) as exc:
+    except (repkit.DimensionBoundExceeded, monoid.EnumerationOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except repkit.InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (NotSortable, RankMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

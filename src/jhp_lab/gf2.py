@@ -94,14 +94,6 @@ def identity_cols(n: int) -> Cols:
     return tuple(1 << k for k in range(n))
 
 
-def zero_cols(source_dim: int) -> Cols:
-    return (0,) * source_dim
-
-
-def image(cols: Cols) -> Echelon:
-    return rref(cols)
-
-
 def subspaces(n: int) -> Iterator[Echelon]:
     """All subspaces of F2^n, one canonical echelon tuple each.
 
@@ -122,21 +114,6 @@ def subspaces(n: int) -> Iterator[Echelon]:
                     if fill >> k & 1:
                         rows[t] |= 1 << c
                 yield tuple(rows)
-
-
-def subspaces_containing(n: int, lower: Echelon) -> Iterator[Echelon]:
-    """All subspaces of F2^n that contain span(lower)."""
-    if not lower:
-        yield from subspaces(n)
-        return
-    used = [pivot(r) for r in lower]
-    rest = [c for c in range(n) if c not in used]
-    # Subspaces above `lower` correspond to subspaces of the quotient,
-    # coordinatized by the non-pivot positions `rest`.
-    m = len(rest)
-    for q in subspaces(m):
-        lifted = [sum(1 << rest[k] for k in range(m) if row >> k & 1) for row in q]
-        yield rref(list(lower) + lifted)
 
 
 def nullity(rows: list[Vec], unknowns: int) -> int:

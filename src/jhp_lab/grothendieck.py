@@ -26,15 +26,12 @@ from dataclasses import dataclass, field
 
 from . import gf2, monoid, nakayama, repkit, typea
 from .monoid import Carrier, GeneratorTable, Presentation
+from .repkit import InvalidSpec
 from .symgroup import Orientation, Perm, format_perm
 
 A2_GEN_NAMES = ("S1", "S2", "P")
 A2_GEN_GRADES = (1, 1, 2)
 A2_GEN_DIMVECS = ((1, 0), (0, 1), (1, 1))
-
-
-class InvalidSpec(ValueError):
-    pass
 
 
 @dataclass(eq=False)
@@ -134,18 +131,13 @@ def repkit_backed(
     grade_bound: int | None = None,
     allowed: tuple[int, ...] | None = None,
 ) -> CategorySource:
-    live = (
-        sorted(membership.allowed)
-        if membership.allowed is not None
-        else list(range(len(membership.catalogue)))
-    )
     return CategorySource(
         kind="repkit",
         label=f"repkit_backed({membership.name})",
         grade_bound=grade_bound,
         object_word="simple objects",
         membership=membership,
-        allowed=tuple(live) if allowed is None else allowed,
+        allowed=tuple(membership.live) if allowed is None else allowed,
     )
 
 
@@ -162,10 +154,17 @@ def _harvested_presentation(
     bound are harvested.  Without one, the bound is raised from the
     largest generator grade (enough for exact atoms) until the harvested
     relation lattice is certified complete by dimension-vector saturation,
-    capped at twice the largest generator grade.
+    capped at twice the largest generator grade.  An explicit bound below
+    the largest generator grade could miss relations among generators, so
+    the atoms would not be exact; it is rejected.
     """
     names = tuple(membership.labels[k] for k in live)
     grades = tuple(membership.catalogue[k].total_dim for k in live)
+    if grade_bound is not None and grade_bound < max(grades, default=0):
+        raise InvalidSpec(
+            f"harvest bound {grade_bound} is below the largest generator grade;"
+            f" --bound must be at least {max(grades)} for exact atoms"
+        )
     dimvecs = tuple(membership.catalogue[k].dims for k in live)
     gens = GeneratorTable(names, grades, dimvecs)
     pos = {k: i for i, k in enumerate(live)}
@@ -261,12 +260,10 @@ def presentation_of(src: CategorySource) -> Presentation:
     """
     if src.kind == "typea":
         membership = typea.torsion_free_membership(src.w, src.quiver)
-        live = sorted(membership.allowed)
-        return _harvested_presentation(membership, live, src.grade_bound)
+        return _harvested_presentation(membership, membership.live, src.grade_bound)
     if src.kind == "nakayama":
         membership = nakayama.class_membership(src.kupisch, src.members)
-        live = sorted(membership.allowed)
-        return _harvested_presentation(membership, live, src.grade_bound)
+        return _harvested_presentation(membership, membership.live, src.grade_bound)
     if src.kind == "repkit":
         return _harvested_presentation(
             src.membership, list(src.allowed), src.grade_bound
@@ -348,21 +345,11 @@ def _integer_rank(rows: list[list[int]]) -> int:
     return sum(1 for k in range(min(len(D), len(D[0]))) if D[k][k])
 
 
-def _saturation_caveat(pres: Presentation, gc) -> str:
-    """Certify completeness of the harvested relation lattice when possible.
-
-    Every conflation relation has dimension-vector difference zero.  When
-    the harvested relations already span a saturated lattice of the same
-    rank as that kernel, no further conflation can change the completed
-    group.
-    """
+def _saturation_caveat(pres: Presentation) -> str:
+    """Certify completeness of the harvested relation lattice when possible."""
     if pres.carrier.kind != "all" or pres.gens.dimvecs is None:
         return "completed-group data computed from the listed relations only"
-    ngen = len(pres.gens)
-    dim_rows = [list(dv) for dv in pres.gens.dimvecs]
-    ker_rank = ngen - _integer_rank(dim_rows)
-    rel_rank = ngen - gc.rank
-    if not gc.invariant_factors and rel_rank == ker_rank:
+    if relation_lattice_certified(pres):
         return (
             "relation lattice certified complete"
             " (saturated with full dimension-vector kernel rank)"
@@ -385,7 +372,7 @@ def report(src: CategorySource) -> MonoidReport:
     caveats = [
         "all module-level computations are over the two-element field",
         _harvest_caveat(src, bound),
-        _saturation_caveat(pres, gc),
+        _saturation_caveat(pres),
         f"cancellativity scanned up to grade {bound}",
     ]
     certificate = None

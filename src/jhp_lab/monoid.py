@@ -25,11 +25,7 @@ WORD_CAP = 500_000
 
 
 class EnumerationOverflow(RuntimeError):
-    pass
-
-
-class SearchBoundExceeded(RuntimeError):
-    pass
+    """An enumeration would pass one of the module-level size limits."""
 
 
 class InvalidPresentation(ValueError):
@@ -163,6 +159,9 @@ class Presentation:
         self.relation_grade_bound = relation_grade_bound
         self._strata: dict[int, StratumPartition] = {}
         self._words: dict[int, tuple[Word, ...]] = {}
+        self._generating_words: tuple[Word, ...] | None = None
+        self._atoms: tuple[Atom, ...] | None = None
+        self._completion: GroupCompletionData | None = None
 
     # -- word enumeration
 
@@ -175,7 +174,10 @@ class Presentation:
 
             def walk(k: int, budget: int) -> None:
                 if len(out) > WORD_CAP:
-                    raise EnumerationOverflow(f"too many words at grade {s}")
+                    raise EnumerationOverflow(
+                        f"too many words at grade {s}: more than"
+                        f" WORD_CAP = {WORD_CAP}"
+                    )
                 if k == n:
                     if budget == 0:
                         w = tuple(acc)
@@ -276,6 +278,12 @@ def generating_words(P: Presentation) -> tuple[Word, ...]:
     a dimension-vector carrier the irreducible words are harvested among
     the grades of the generating vectors.
     """
+    if P._generating_words is None:
+        P._generating_words = _generating_words(P)
+    return P._generating_words
+
+
+def _generating_words(P: Presentation) -> tuple[Word, ...]:
     if P.carrier.kind == "all":
         out = []
         for k in range(len(P.gens)):
@@ -330,6 +338,8 @@ def atoms(P: Presentation) -> list[Atom]:
     is exact once the relations are complete up to the largest irreducible
     grade.
     """
+    if P._atoms is not None:
+        return list(P._atoms)
     seen = set()
     out = []
     for w in generating_words(P):
@@ -343,6 +353,7 @@ def atoms(P: Presentation) -> list[Atom]:
         if all(is_irreducible(P, x) for x in cls):
             out.append(Atom(rep, s, cls))
     out.sort(key=lambda a: (a.grade, a.representative))
+    P._atoms = tuple(out)
     return out
 
 
@@ -432,12 +443,16 @@ def _mat_vec(rows: list[list[int]], x: list[int]) -> list[int]:
     return out
 
 
-def integer_solve(rows: list[list[int]], b: list[int]) -> list[int] | None:
-    """Solve x . rows = b over the integers, or return None."""
-    m = len(rows)
+def integer_solve(snf, b: list[int]) -> list[int] | None:
+    """Solve x . A = b over the integers, or return None.
+
+    `snf` is the Smith form (D, U, V) = smith_normal_form(A), so that one
+    factorization serves every right-hand side.
+    """
+    D, U, V = snf
+    m = len(D)
     if m == 0:
         return [] if not any(b) else None
-    D, U, V = smith_normal_form(rows)
     n = len(b)
     bV = [sum(b[i] * V[i][j] for i in range(n)) for j in range(n)]
     y = [0] * m
@@ -452,19 +467,12 @@ def integer_solve(rows: list[list[int]], b: list[int]) -> list[int] | None:
     return _mat_vec(U, y)
 
 
-def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of {x : x . rows = 0}."""
-    m = len(rows)
-    if m == 0:
-        return []
-    D, U, V = smith_normal_form(rows)
-    n = len(rows[0])
-    out = []
-    for j in range(m):
-        d = D[j][j] if j < min(m, n) else 0
-        if d == 0:
-            out.append(U[j][:])
-    return out
+def integer_kernel(snf) -> list[list[int]]:
+    """Basis of {x : x . A = 0}, from the Smith form (D, U, V) of A."""
+    D, U, _ = snf
+    m = len(D)
+    n = len(D[0]) if m else 0
+    return [U[j][:] for j in range(m) if j >= n or D[j][j] == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +484,30 @@ class GroupCompletionData:
     rank: int
     invariant_factors: tuple[int, ...]
     atom_images: tuple[tuple[int, ...], ...]
-    _p: int
-    _gen_rows: tuple[tuple[int, ...], ...]
+    _gen_snf: tuple  # Smith form of the carrier generator rows
     _V: tuple[tuple[int, ...], ...]
     _diag: tuple[int, ...]
 
     def image_of(self, word: Word) -> tuple[int, ...]:
         """Canonical coordinates of a carrier word in the completed group."""
-        x = integer_solve([list(r) for r in self._gen_rows], list(word))
-        if x is None:
-            raise InvalidPresentation("word does not lie in the carrier lattice")
-        p = self._p
-        c = [sum(x[i] * self._V[i][j] for i in range(p)) for j in range(p)]
-        out = []
-        for j in range(p):
-            d = self._diag[j]
-            if d == 0:
-                out.append(c[j])
-            elif d > 1:
-                out.append(c[j] % d)
-            # d == 1: coordinate dies
-        return tuple(out)
+        return _image(self._gen_snf, self._V, self._diag, word)
+
+
+def _image(gen_snf, V, diag, word: Word) -> tuple[int, ...]:
+    x = integer_solve(gen_snf, list(word))
+    if x is None:
+        raise InvalidPresentation("word does not lie in the carrier lattice")
+    p = len(diag)
+    c = [sum(x[i] * V[i][j] for i in range(p)) for j in range(p)]
+    out = []
+    for j in range(p):
+        d = diag[j]
+        if d == 0:
+            out.append(c[j])
+        elif d > 1:
+            out.append(c[j] % d)
+        # d == 1: coordinate dies
+    return tuple(out)
 
 
 def group_completion(P: Presentation) -> GroupCompletionData:
@@ -507,22 +518,20 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     generators are divided out as well, so the answer does not depend on
     the chosen generator preimages).
     """
+    if P._completion is not None:
+        return P._completion
     gens_words = generating_words(P)
     p = len(gens_words)
-    ng = len(P.gens)
-    G = [list(w) for w in gens_words]
+    gen_snf = smith_normal_form([list(w) for w in gens_words])
     rel_rows = []
     for u, v in P.relations:
-        diff = [a - b for a, b in zip(u, v)]
-        x = integer_solve(G, diff) if p else None
+        x = integer_solve(gen_snf, [a - b for a, b in zip(u, v)])
         if x is None:
-            if any(diff):
-                raise InvalidPresentation(
-                    "relation difference escapes the carrier lattice"
-                )
-            x = [0] * p
+            raise InvalidPresentation(
+                "relation difference escapes the carrier lattice"
+            )
         rel_rows.append(x)
-    rel_rows.extend(integer_kernel(G))
+    rel_rows.extend(integer_kernel(gen_snf))
     if not rel_rows:
         rel_rows = [[0] * p]
     D, U, V = smith_normal_form(rel_rows)
@@ -530,25 +539,17 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     for j in range(p):
         d = D[j][j] if j < len(rel_rows) and j < p else 0
         diag.append(abs(d))
-    data = GroupCompletionData(
+    V = tuple(tuple(row) for row in V)
+    images = tuple(_image(gen_snf, V, diag, a.representative) for a in atoms(P))
+    P._completion = GroupCompletionData(
         rank=sum(1 for d in diag if d == 0),
         invariant_factors=tuple(d for d in diag if d > 1),
-        atom_images=(),
-        _p=p,
-        _gen_rows=tuple(tuple(r) for r in G),
-        _V=tuple(tuple(row) for row in V),
+        atom_images=images,
+        _gen_snf=gen_snf,
+        _V=V,
         _diag=tuple(diag),
     )
-    images = tuple(data.image_of(a.representative) for a in atoms(P))
-    return GroupCompletionData(
-        data.rank,
-        data.invariant_factors,
-        images,
-        data._p,
-        data._gen_rows,
-        data._V,
-        data._diag,
-    )
+    return P._completion
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +708,6 @@ def is_half_factorial(
 class CancellativityScan:
     bound: int
     certificate: tuple[Word, Word, Word] | None  # (a, x, y)
-
-    def cancellative_up_to_bound(self) -> bool:
-        return self.certificate is None
 
 
 def cancellativity_scan(P: Presentation, bound: int) -> CancellativityScan:

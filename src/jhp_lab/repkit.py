@@ -11,29 +11,40 @@ lattice finite.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from . import gf2
+from .monoid import EnumerationOverflow, smith_normal_form
 
 DEFAULT_DIMENSION_BOUND = 8
 ENUMERATION_CAP = 4_000_000
+# largest Hom-space dimension whose nonzero elements rep_iso tries one by one
+ISO_SEARCH_DIM = 20
 
 
 class AlgebraMismatch(ValueError):
     pass
 
 
-class SingularSystem(ValueError):
+class InternalInconsistency(Exception):
+    """The program's own data contradict each other.
+
+    Not a ValueError: no user input can cause it, so it must never be
+    reported as bad input.
+    """
+
+
+class SingularSystem(InternalInconsistency):
     """The catalogue cannot be complete: its Hom-count matrix is singular."""
 
 
-class NegativeMultiplicity(ValueError):
+class NegativeMultiplicity(InternalInconsistency):
     """Hom counts are inconsistent with any direct-sum decomposition."""
 
 
@@ -45,10 +56,6 @@ class DimensionBoundExceeded(RuntimeError):
             f"{what} exceeds the dimension bound {bound}; "
             "raise it with the environment variable JHP_LAB_BOUND"
         )
-
-
-class EnumerationOverflow(RuntimeError):
-    pass
 
 
 class NotMember(ValueError):
@@ -126,12 +133,6 @@ class PresentedAlgebra:
                         nxt.append(path + (a,))
             frontier = nxt
         raise InvalidSpec("algebra is not finite-dimensional (unbounded paths)")
-
-    def arrow_index(self, name: str) -> int:
-        for k, (nm, _, _) in enumerate(self.arrows):
-            if nm == name:
-                return k
-        raise InvalidSpec(f"no arrow named {name!r}")
 
 
 def parse_algebra(text: str) -> PresentedAlgebra:
@@ -278,7 +279,10 @@ def all_reps(algebra: PresentedAlgebra, dims: tuple[int, ...]):
     for sp in spaces:
         count *= len(sp)
         if count > ENUMERATION_CAP:
-            raise EnumerationOverflow("too many representations to enumerate")
+            raise EnumerationOverflow(
+                "too many representations to enumerate: more than"
+                f" ENUMERATION_CAP = {ENUMERATION_CAP}"
+            )
     for maps in product(*spaces):
         try:
             yield Rep(algebra, dims, tuple(tuple(m) for m in maps))
@@ -354,8 +358,11 @@ def rep_iso(A: Rep, B: Rep) -> bool:
     basis = gf2.nullspace(rows, total)
     if len(basis) != hom_dim(B, A):
         return False
-    if len(basis) > 20:
-        raise EnumerationOverflow("homomorphism space too large for iso search")
+    if len(basis) > ISO_SEARCH_DIM:
+        raise EnumerationOverflow(
+            f"homomorphism space of dimension {len(basis)} too large for iso"
+            f" search: more than ISO_SEARCH_DIM = {ISO_SEARCH_DIM}"
+        )
     for mask in range(1, 1 << len(basis)):
         vec = 0
         k = mask
@@ -369,21 +376,18 @@ def rep_iso(A: Rep, B: Rep) -> bool:
     return False
 
 
-def _solve_rational(H: list[list[int]], h: list[int]) -> list[Fraction]:
-    n = len(H)
-    M = [[Fraction(x) for x in row] + [Fraction(h[k])] for k, row in enumerate(H)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            raise SingularSystem("Hom-count matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+def _resolve(rows: list[list[int]], d: int, h: tuple[int, ...]) -> Counter:
+    """Multiplicities m = rows . h / d, checked to be nonnegative integers."""
+    out = Counter()
+    for k, row in enumerate(rows):
+        x = sum(a * b for a, b in zip(row, h))
+        if x < 0 or x % d:
+            raise NegativeMultiplicity(
+                f"Hom counts {h} give multiplicity {x}/{d}"
+            )
+        if x:
+            out[k] = x // d
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +421,11 @@ class Membership:
         self.rep_pred = rep_pred
         self.complete = complete
         self.name = name or "E"
-        self._hom_inverse: list[list[Fraction]] | None = None
+        self._hom_inverse: tuple[list[list[int]], list[list[int]], int] | None = None
+        # (representation, iso_key) for each class seen without a complete
+        # catalogue, and the catalogue decomposition of those classified
         self._iso_memo: list[tuple[Rep, tuple]] = []
+        self._classified: dict[tuple, Counter] = {}
 
     # -- constructors
 
@@ -464,6 +471,29 @@ class Membership:
 
     # -- membership
 
+    @property
+    def summand_closed(self) -> bool:
+        """Additive and full memberships are closed under direct summands,
+        so their simple objects are indecomposable; dims-restricted ones
+        are not (a simple object may decompose as a module)."""
+        return self.rep_pred is None and self.dim_pred is None
+
+    @property
+    def by_fingerprint(self) -> bool:
+        """Can classes of subobjects and quotients be read off Hom counts?"""
+        return self.complete and self.rep_pred is None
+
+    @property
+    def live(self) -> list[int]:
+        """Indices of the catalogue entries that lie in the subcategory."""
+        if self.allowed is None:
+            return list(range(len(self.catalogue)))
+        return sorted(self.allowed)
+
+    def allows(self, classes) -> bool:
+        """Are all the given catalogue indices allowed summands?"""
+        return self.allowed is None or all(k in self.allowed for k in classes)
+
     def contains_dims(self, dims: tuple[int, ...]) -> bool | None:
         """Fast path when membership depends only on the dimension vector."""
         if self.dim_pred is not None:
@@ -478,38 +508,43 @@ class Membership:
             return quick
         if self.rep_pred is not None:
             return bool(self.rep_pred(rep))
-        dec = self.decompose(rep)
-        return all(k in self.allowed for k in dec)
+        return self.allows(self.decompose(rep))
 
     # -- decomposition against the catalogue
 
-    def _inverse_hom_matrix(self) -> list[list[Fraction]]:
+    def _inverse_hom_matrix(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """(N, N transposed, d) with N / d the inverse of the Hom-count
+        matrix H[i][j] = hom_dim(C_i, C_j), and d > 0.
+
+        Hom counts into an object are H m for its multiplicity vector m,
+        and Hom counts out of it are H^T m.  With D = U H V in Smith normal
+        form, N = V (d D^-1) U for d the lcm of the invariant factors.
+        """
         if self._hom_inverse is None:
             n = len(self.catalogue)
             H = [
                 [hom_dim(self.catalogue[i], self.catalogue[j]) for j in range(n)]
                 for i in range(n)
             ]
-            cols = []
-            for j in range(n):
-                e = [1 if i == j else 0 for i in range(n)]
-                cols.append(_solve_rational(H, e))
-            self._hom_inverse = [[cols[j][i] for j in range(n)] for i in range(n)]
+            D, U, V = smith_normal_form(H)
+            diag = [D[k][k] for k in range(n)]
+            if not all(diag):
+                raise SingularSystem("Hom-count matrix is singular")
+            d = math.lcm(*diag)
+            scaled = [[d // diag[k] * x for x in U[k]] for k in range(n)]
+            N = [
+                [sum(V[i][k] * scaled[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            self._hom_inverse = (N, [list(col) for col in zip(*N)], d)
         return self._hom_inverse
 
     def decompose(self, rep: Rep) -> Counter:
         """Multiplicities of the catalogue entries in rep."""
         if not self.complete:
             return self.classify(rep)
-        inv = self._inverse_hom_matrix()
-        h = [hom_dim(c, rep) for c in self.catalogue]
-        out = Counter()
-        for k, row in enumerate(inv):
-            x = sum(f * v for f, v in zip(row, h))
-            if x.denominator != 1 or x < 0:
-                raise NegativeMultiplicity(f"no decomposition: multiplicity {x}")
-            if x:
-                out[k] = int(x)
+        N, _, d = self._inverse_hom_matrix()
+        out = _resolve(N, d, tuple(hom_dim(c, rep) for c in self.catalogue))
         dims = tuple(
             sum(out[k] * c.dims[v] for k, c in enumerate(self.catalogue))
             for v in range(self.algebra.vertices)
@@ -520,11 +555,12 @@ class Membership:
 
     def classify(self, rep: Rep) -> Counter:
         """Iso-search fallback for incomplete catalogues (small dims)."""
-        for seen, key in self._iso_memo:
-            if seen.dims == rep.dims and rep_iso(seen, rep):
-                return Counter(dict(key))
-        target = rep.dims
+        key = self.iso_key(rep)
+        if key not in self._classified:
+            self._classified[key] = self._search_catalogue(rep)
+        return Counter(self._classified[key])
 
+    def _search_catalogue(self, rep: Rep) -> Counter:
         def candidates(start: int, remaining: tuple[int, ...], acc: Counter):
             if all(d == 0 for d in remaining):
                 yield Counter(acc)
@@ -537,18 +573,30 @@ class Membership:
                     yield from candidates(k, rest, acc)
                     acc[k] -= 1
 
-        for cand in candidates(0, target, Counter()):
+        for cand in candidates(0, rep.dims, Counter()):
             summed = direct_sum(
                 self.algebra,
                 [self.catalogue[k] for k in sorted(cand.elements())],
             )
             if rep_iso(summed, rep):
-                self._iso_memo.append((rep, tuple(sorted(cand.items()))))
-                return cand
+                return +cand
         raise NegativeMultiplicity("representation not built from the catalogue")
 
     def iso_key(self, rep: Rep) -> tuple:
-        return tuple(sorted(self.decompose(rep).elements()))
+        """Key of the isomorphism class of rep.
+
+        With a complete catalogue this is the sorted list of its summands.
+        Otherwise rep is compared with the classes seen so far, and the
+        n-th new class gets the key ("raw", n).
+        """
+        if self.complete:
+            return tuple(sorted(self.decompose(rep).elements()))
+        for seen, key in self._iso_memo:
+            if seen.dims == rep.dims and rep_iso(seen, rep):
+                return key
+        key = ("raw", len(self._iso_memo))
+        self._iso_memo.append((rep, key))
+        return key
 
     def label_of(self, classes: Counter) -> str:
         if not classes:
@@ -558,10 +606,6 @@ class Membership:
             m = classes[k]
             bits.append(self.labels[k] if m == 1 else f"{m}*{self.labels[k]}")
         return "+".join(bits)
-
-
-def decompose(rep: Rep, membership: Membership) -> Counter:
-    return membership.decompose(rep)
 
 
 class SubquotClassifier:
@@ -591,23 +635,9 @@ class SubquotClassifier:
             self.outof.append(
                 [_phi_from_vector(X, C, v) for v in gf2.nullspace(rows, total)]
             )
-        Hinv = E._inverse_hom_matrix()
-        self._Hinv = Hinv
-        self._HTinv = [list(col) for col in zip(*Hinv)]
+        self._N, self._NT, self._d = E._inverse_hom_matrix()
         self._sub_cache: dict = {}
         self._quot_cache: dict = {}
-
-    def _resolve(self, fingerprint: tuple[int, ...], matrix) -> Counter:
-        out = Counter()
-        for k, row in enumerate(matrix):
-            x = sum(f * v for f, v in zip(row, fingerprint))
-            if x.denominator != 1 or x < 0:
-                raise NegativeMultiplicity(
-                    f"inconsistent Hom fingerprint {fingerprint}"
-                )
-            if x:
-                out[k] = int(x)
-        return out
 
     def sub_class(self, S: SubRep) -> Counter:
         nv = self.X.algebra.vertices
@@ -636,7 +666,7 @@ class SubquotClassifier:
             fingerprint.append(len(basis) - gf2.rank(rows))
         key = tuple(fingerprint)
         if key not in self._sub_cache:
-            self._sub_cache[key] = self._resolve(key, self._Hinv)
+            self._sub_cache[key] = _resolve(self._N, self._d, key)
         return self._sub_cache[key]
 
     def quot_class(self, S: SubRep) -> Counter:
@@ -661,7 +691,7 @@ class SubquotClassifier:
             fingerprint.append(len(basis) - gf2.rank(rows))
         key = tuple(fingerprint)
         if key not in self._quot_cache:
-            self._quot_cache[key] = self._resolve(key, self._HTinv)
+            self._quot_cache[key] = _resolve(self._NT, self._d, key)
         return self._quot_cache[key]
 
     def classes(self, S: SubRep) -> tuple[Counter, Counter]:
@@ -721,14 +751,6 @@ def enumerate_subreps(X: Rep, bound: int | None = None) -> list[SubRep]:
 
     walk(0)
     return out
-
-
-def zero_sub(X: Rep) -> SubRep:
-    return SubRep(tuple(() for _ in range(X.algebra.vertices)))
-
-
-def full_sub(X: Rep) -> SubRep:
-    return SubRep(tuple(gf2.identity_cols(d) for d in X.dims))
 
 
 def sub_rep(X: Rep, S: SubRep) -> Rep:
@@ -818,9 +840,9 @@ def _order_pair(X: Rep, E: Membership, U: SubRep, V: SubRep) -> bool:
     return E.contains(section_quotient(X, U, V))
 
 
-def admissible_subreps(X: Rep, E: Membership, bound: int | None = None) -> list[SubRep]:
-    out = []
-    for S in enumerate_subreps(X, bound):
+def _admissible(X: Rep, E: Membership, subs):
+    """The subobjects S among `subs` with S and X/S both in E, lazily."""
+    for S in subs:
         inok = E.contains_dims(S.dims())
         if inok is None:
             inok = E.contains(sub_rep(X, S))
@@ -831,7 +853,11 @@ def admissible_subreps(X: Rep, E: Membership, bound: int | None = None) -> list[
         if outok is None:
             outok = E.contains(quotient_rep(X, S))
         if outok:
-            out.append(S)
+            yield S
+
+
+def admissible_subreps(X: Rep, E: Membership, bound: int | None = None) -> list[SubRep]:
+    out = list(_admissible(X, E, enumerate_subreps(X, bound)))
     out.sort(key=lambda s: (s.total_dim, s.bases))
     return out
 
@@ -939,44 +965,16 @@ class SeriesReport:
     nu_max: int
 
 
-class _IsoMemo:
-    """Iso-class memo usable with or without a complete catalogue."""
-
-    def __init__(self, E: Membership):
-        self.E = E
-        self.store: dict = {}
-        self.raw: list[tuple[Rep, object]] = []
-
-    def key(self, rep: Rep):
-        if self.E.complete:
-            return self.E.iso_key(rep)
-        for seen, k in self.raw:
-            if seen.dims == rep.dims and rep_iso(seen, rep):
-                return k
-        k = ("raw", len(self.raw))
-        self.raw.append((rep, k))
-        return k
-
-
 def is_simple_object(X: Rep, E: Membership, bound: int | None = None) -> bool:
     """Is X simple in E, i.e. are 0 and X its only admissible subobjects?"""
     if X.is_zero():
         return False
-    for S in enumerate_subreps(X, bound):
-        if S.total_dim in (0, X.total_dim):
-            continue
-        inok = E.contains_dims(S.dims())
-        if inok is None:
-            inok = E.contains(sub_rep(X, S))
-        if not inok:
-            continue
-        qdims = tuple(d - sd for d, sd in zip(X.dims, S.dims()))
-        outok = E.contains_dims(qdims)
-        if outok is None:
-            outok = E.contains(quotient_rep(X, S))
-        if outok:
-            return False
-    return True
+    proper = (
+        S
+        for S in enumerate_subreps(X, bound)
+        if S.total_dim not in (0, X.total_dim)
+    )
+    return next(_admissible(X, E, proper), None) is None
 
 
 class SeriesAnalyzer:
@@ -995,17 +993,11 @@ class SeriesAnalyzer:
     def __init__(self, E: Membership, bound: int | None = None):
         self.E = E
         self.bound = bound
-        self.fast = E.complete and E.rep_pred is None
-        # additive and full memberships are closed under direct summands,
-        # so their simple objects are indecomposable; dims-restricted ones
-        # are not (a simple object may decompose as a module)
-        self.summand_closed = E.rep_pred is None and E.dim_pred is None
-        self._memo = _IsoMemo(E)
         self._simple: dict = {}
         self._chains: dict = {}
 
     def _is_simple(self, rep: Rep) -> bool:
-        k = self._memo.key(rep)
+        k = self.E.iso_key(rep)
         if k not in self._simple:
             self._simple[k] = is_simple_object(rep, self.E, self.bound)
         return self._simple[k]
@@ -1020,11 +1012,6 @@ class SeriesAnalyzer:
                 self._canonical(Counter(key)), self.E, self.bound
             )
         return self._simple[key]
-
-    def _allowed(self, classes: Counter) -> bool:
-        if self.E.allowed is None:
-            return True
-        return all(k in self.E.allowed for k in classes)
 
     def _chains_fast(self, classes: Counter) -> frozenset[tuple]:
         key = tuple(sorted(classes.elements()))
@@ -1046,15 +1033,15 @@ class SeriesAnalyzer:
                 if self.E.contains_dims(qdims) is False:
                     continue
                 csub = clf.sub_class(S)
-                if self.summand_closed and sum(csub.values()) != 1:
+                if self.E.summand_closed and sum(csub.values()) != 1:
                     continue  # simple objects are indecomposable here
-                if not self._allowed(csub):
+                if not self.E.allows(csub):
                     continue
                 sub_key = tuple(sorted(csub.elements()))
                 if not self._class_simple(sub_key):
                     continue
                 cquot = clf.quot_class(S)
-                if not self._allowed(cquot):
+                if not self.E.allows(cquot):
                     continue
                 step = (sub_key, tuple(sorted(cquot.elements())))
                 if step in seen_steps:
@@ -1068,7 +1055,7 @@ class SeriesAnalyzer:
 
     def _chains_slow(self, rep: Rep) -> frozenset[tuple]:
         E = self.E
-        k = self._memo.key(rep)
+        k = E.iso_key(rep)
         if k in self._chains:
             return self._chains[k]
         if rep.is_zero():
@@ -1076,23 +1063,13 @@ class SeriesAnalyzer:
         else:
             out = set()
             seen_steps = set()
-            for S in enumerate_subreps(rep, self.bound):
-                if S.total_dim == 0:
-                    continue
-                inok = E.contains_dims(S.dims())
-                if inok is None:
-                    inok = E.contains(sub_rep(rep, S))
-                if not inok:
-                    continue
-                qdims = tuple(d - sd for d, sd in zip(rep.dims, S.dims()))
-                outok = E.contains_dims(qdims)
+            nonzero = (S for S in enumerate_subreps(rep, self.bound) if S.total_dim)
+            for S in _admissible(rep, E, nonzero):
                 sub = sub_rep(rep, S)
-                quot = quotient_rep(rep, S)
-                if outok is None:
-                    outok = E.contains(quot)
-                if not outok or not self._is_simple(sub):
+                if not self._is_simple(sub):
                     continue
-                step = (self._memo.key(sub), self._memo.key(quot))
+                quot = quotient_rep(rep, S)
+                step = (E.iso_key(sub), E.iso_key(quot))
                 if step in seen_steps:
                     continue
                 seen_steps.add(step)
@@ -1105,7 +1082,7 @@ class SeriesAnalyzer:
     def analyze(self, X: Rep) -> SeriesReport:
         if not self.E.contains(X):
             raise NotMember("X does not belong to the subcategory")
-        if self.fast:
+        if self.E.by_fingerprint:
             classes = self.E.decompose(X)
             multisets = self._chains_fast(classes)
             simple = self._class_simple(tuple(sorted(classes.elements())))
@@ -1161,25 +1138,22 @@ def _multisets_up_to(lengths: list[int], maxlen: int):
     yield from walk(0, maxlen)
 
 
-def _support_blocks(E: Membership, multiset: tuple[int, ...]) -> int:
-    """Number of vertex-support components among the summands."""
-    idx = [k for k, m in enumerate(multiset) if m]
+def _supports_connected(E: Membership, multiset: tuple[int, ...]) -> bool:
+    """Do the vertex supports of the summands form one connected block?"""
     supports = [
-        frozenset(v for v, d in enumerate(E.catalogue[k].dims) if d) for k in idx
+        sum(1 << v for v, d in enumerate(E.catalogue[k].dims) if d)
+        for k, m in enumerate(multiset)
+        if m
     ]
-    parent = list(range(len(idx)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if supports[i] & supports[j]:
-                parent[find(i)] = find(j)
-    return len({find(i) for i in range(len(idx))})
+    block, rest = supports[0], supports[1:]
+    while rest:
+        near = [s for s in rest if s & block]
+        if not near:
+            return False
+        for s in near:
+            block |= s
+        rest = [s for s in rest if s not in near]
+    return True
 
 
 def conflations_up_to(
@@ -1205,7 +1179,6 @@ def conflations_up_to(
     if maxlen > bound:
         raise DimensionBoundExceeded(f"middle length {maxlen}", bound)
     pairs: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    summand_closed = E.rep_pred is None and E.dim_pred is None
 
     if iso_enumerator is not None:
         sources = [
@@ -1215,11 +1188,7 @@ def conflations_up_to(
         if not E.complete:
             raise InvalidSpec("need a complete catalogue or an iso enumerator")
         lengths = [c.total_dim for c in E.catalogue]
-        live = (
-            sorted(E.allowed)
-            if E.allowed is not None
-            else list(range(len(E.catalogue)))
-        )
+        live = E.live
         sources = []
         for small in _multisets_up_to([lengths[k] for k in live], maxlen):
             word = [0] * len(E.catalogue)
@@ -1233,8 +1202,8 @@ def conflations_up_to(
                 )
                 if not E.dim_pred(dims):
                     continue
-            if summand_closed:
-                if _support_blocks(E, word) > 1:
+            if E.summand_closed:
+                if not _supports_connected(E, word):
                     continue
                 only = [k for k, m in enumerate(word) if m]
                 if (
@@ -1245,7 +1214,6 @@ def conflations_up_to(
                     continue
             sources.append((word, None))
 
-    fingerprints = E.complete and E.rep_pred is None
     for word, Y in sources:
         if Y is None:
             parts = []
@@ -1255,7 +1223,7 @@ def conflations_up_to(
             y_word = word
         else:
             y_word = _word_of(E, E.decompose(Y))
-        clf = SubquotClassifier(E, Y) if fingerprints else None
+        clf = SubquotClassifier(E, Y) if E.by_fingerprint else None
         for S in enumerate_subreps(Y, bound):
             if S.total_dim in (0, Y.total_dim):
                 continue
@@ -1264,12 +1232,12 @@ def conflations_up_to(
             outok = E.contains_dims(qdims)
             if inok is False or outok is False:
                 continue
-            if fingerprints:
+            if E.by_fingerprint:
                 csub = clf.sub_class(S)
-                if E.allowed is not None and any(k not in E.allowed for k in csub):
+                if not E.allows(csub):
                     continue
                 cquot = clf.quot_class(S)
-                if E.allowed is not None and any(k not in E.allowed for k in cquot):
+                if not E.allows(cquot):
                     continue
                 rhs = _word_of(E, csub + cquot)
             else:

@@ -1,7 +1,9 @@
 import csv
 import json
 
-from jhp_lab import cli
+import pytest
+
+from jhp_lab import cli, grothendieck, monoid, repkit
 from jhp_lab.symgroup import parse_perm
 
 
@@ -101,6 +103,31 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "4321",
                            "--bound", "6")
         assert code == 4 and "JHP_LAB_BOUND" in err
+
+    def test_bound_below_generator_grade_exit3(self, capsys):
+        # F(3412) has a generator of grade 3: a lower harvest bound cannot
+        # give exact atoms
+        for bound in ("-1", "0", "1", "2"):
+            code, out, err = run(capsys, "analyze", "--quiver", "1>2<3",
+                                 "--w", "3412", "--bound", bound)
+            assert code == 3 and out == "", bound
+            assert "--bound" in err and "at least 3" in err, bound
+
+    @pytest.mark.parametrize(
+        "error", [repkit.NegativeMultiplicity, repkit.SingularSystem]
+    )
+    def test_internal_error_exit5(self, capsys, monkeypatch, error):
+        def broken(src):
+            raise error("planted")
+
+        monkeypatch.setattr(grothendieck, "report", broken)
+        code, _, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "3412")
+        assert code == 5 and err == "internal error: planted\n"
+
+    def test_word_cap_exceeded_names_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(monoid, "WORD_CAP", 2)
+        code, _, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "3412")
+        assert code == 4 and "WORD_CAP = 2" in err
 
     def test_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "cayley.dot"

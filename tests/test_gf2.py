@@ -70,12 +70,3 @@ def test_apply_and_compose():
     assert gf2.apply_cols(cols, 0b011) == 0b10
     ident = gf2.identity_cols(2)
     assert gf2.compose_cols(ident, cols) == cols
-
-
-def test_subspaces_containing():
-    inner = gf2.rref([0b0011])
-    above = list(gf2.subspaces_containing(4, inner))
-    for s in above:
-        assert gf2.contains(s, inner)
-    # subspaces above a line in F2^4 = subspaces of F2^3
-    assert len(above) == gaussian_subspace_count(3)

@@ -61,14 +61,27 @@ def test_stratification_is_stable_under_larger_relation_sets():
 
 
 def test_fingerprint_classifier_agrees_with_rep_construction():
-    mods, reps = typea.interval_catalogue(Q3)
-    E = repkit.Membership.full(tuple(reps), labels=tuple(str(m) for m in mods))
-    Y = repkit.direct_sum(E.algebra, [reps[1], reps[4], reps[0]])
-    clf = repkit.SubquotClassifier(E, Y)
-    for S in repkit.enumerate_subreps(Y):
-        csub, cquot = clf.classes(S)
-        assert csub == E.decompose(repkit.sub_rep(Y, S))
-        assert cquot == E.decompose(repkit.quotient_rep(Y, S))
+    # (complete catalogue, summands of Y): every A3 orientation, the linear
+    # Nakayama algebra 3,2,1 and the loop algebra, each Y with a repeated
+    # summand
+    cases = []
+    for q in ("1>2<3", "1<2>3", "1<2<3", "1>2>3"):
+        mods, reps = typea.interval_catalogue(parse_orientation(q))
+        E = repkit.Membership.full(tuple(reps), labels=tuple(str(m) for m in mods))
+        cases.append((E, (1, 4, 0)))
+        cases.append((E, (1, 4, 0, 0)))
+    cases.append((nakayama.full_membership(nakayama.parse_kupisch("kupisch: 3,2,1")),
+                  (5, 1, 1)))
+    loop = repkit.parse_algebra(regress.LOOP_ALGEBRA_SPEC)
+    indecs = repkit.brute_force_catalogue(loop, (2, 2), 4)
+    cases.append((repkit.Membership.full(tuple(indecs)), (4, 1, 1)))
+    for E, summands in cases:
+        Y = repkit.direct_sum(E.algebra, [E.catalogue[k] for k in summands])
+        clf = repkit.SubquotClassifier(E, Y)
+        for S in repkit.enumerate_subreps(Y):
+            csub, cquot = clf.classes(S)
+            assert csub == E.decompose(repkit.sub_rep(Y, S))
+            assert cquot == E.decompose(repkit.quotient_rep(Y, S))
 
 
 def test_rep_serialization_roundtrip():

@@ -191,13 +191,14 @@ class TestSmithNormalForm:
 
     def test_integer_solve_and_kernel(self):
         rows = [[1, 2, 0], [0, 1, 1]]
-        x = integer_solve(rows, [1, 3, 1])
+        snf = smith_normal_form(rows)
+        x = integer_solve(snf, [1, 3, 1])
         assert x is not None
         got = [sum(x[i] * rows[i][j] for i in range(2)) for j in range(3)]
         assert got == [1, 3, 1]
-        assert integer_solve(rows, [0, 0, 1]) is None
+        assert integer_solve(snf, [0, 0, 1]) is None
         rows2 = [[1, 1], [2, 2]]
-        ker = integer_kernel(rows2)
+        ker = integer_kernel(smith_normal_form(rows2))
         assert len(ker) == 1 and ker[0][0] * 2 + ker[0][1] * 2 == 0 or True
         x = ker[0]
         assert [x[0] * 1 + x[1] * 2, x[0] * 1 + x[1] * 2] == [0, 0]

@@ -161,6 +161,16 @@ class TestDecompose:
         with pytest.raises(repkit.SingularSystem):
             bad.decompose(P)
 
+    def test_catalogue_missing_an_indecomposable_detected(self):
+        # declared complete without S2: Hom counts into S2 and into P + S2
+        # have no decomposition over S1 and P
+        S1, P, S2, _ = a2_setup()
+        bad = repkit.Membership.full((S1, P), labels=("S1", "P"))
+        assert bad.decompose(repkit.direct_sum(P.algebra, [P, S1])) == {0: 1, 1: 1}
+        for X in (S2, repkit.direct_sum(P.algebra, [P, S2])):
+            with pytest.raises(repkit.NegativeMultiplicity):
+                bad.decompose(X)
+
 
 class TestSubreps:
     def test_counts(self):
@@ -261,6 +271,18 @@ class TestSeries:
             rep = repkit.series_analysis(X, E)
             assert rep.jhp_holds and rep.unique_length
             assert rep.nu_max == X.total_dim  # classical composition length
+
+    def test_incomplete_catalogue_uses_raw_iso_keys(self):
+        # no catalogue at all: classes are told apart by isomorphism search
+        E = repkit.Membership.predicate(
+            repkit.PresentedAlgebra(1, (), ()), lambda rep: True
+        )
+        rep = repkit.series_analysis(single_vertex(2), E)
+        (factors,) = rep.factor_multisets
+        assert len(factors) == 2 and factors[0] == factors[1]
+        assert factors[0][0] == "raw"
+        assert rep.factor_labels == frozenset({(f"X{factors[0][1]}",) * 2})
+        assert rep.jhp_holds and not rep.is_simple
 
     def test_requires_membership(self):
         E = vector_spaces(lambda d: d[0] != 1)
