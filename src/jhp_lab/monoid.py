@@ -160,6 +160,7 @@ class Presentation:
         self._strata: dict[int, StratumPartition] = {}
         self._words: dict[int, tuple[Word, ...]] = {}
         self._generating_words: tuple[Word, ...] | None = None
+        self._differences: tuple[tuple[int, ...], ...] | None = None
         self._atoms: tuple[Atom, ...] | None = None
         self._completion: GroupCompletionData | None = None
 
@@ -217,6 +218,14 @@ def stratum_classes(P: Presentation, s: int) -> StratumPartition:
     w' = w - u + v for a relation (u, v) in either orientation; the
     partition is exact provided the relation list is complete up to
     grade s.
+
+    The merges are built from relation translates: for each relation
+    (u, v) of grade at most s and each carrier word r of grade s - |u|,
+    r + u is merged with r + v.  One orientation suffices because a merge
+    is symmetric.  This is the same set of merges for `dimvec` carriers:
+    the leftover w - u is a carrier word exactly when r is, and r + u,
+    r + v are carrier words because the carrier is closed under addition
+    and relation words lie in it.  The work is one union per translate.
     """
     if s in P._strata:
         return P._strata[s]
@@ -230,23 +239,15 @@ def stratum_classes(P: Presentation, s: int) -> StratumPartition:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    directed = []
     for u, v in P.relations:
-        directed.append((u, v))
-        directed.append((v, u))
-    for w in words:
-        for u, v in directed:
-            if all(a >= b for a, b in zip(w, u)):
-                r = tuple(a - b for a, b in zip(w, u))
-                if not P.carrier.contains(P.gens, r):
-                    continue
-                w2 = tuple(a + b for a, b in zip(r, v))
-                union(idx[w], idx[w2])
+        du = P.gens.grade(u)
+        if du > s:
+            continue
+        for r in P.words_of_grade(s - du):
+            rx = find(idx[tuple(a + b for a, b in zip(r, u))])
+            ry = find(idx[tuple(a + b for a, b in zip(r, v))])
+            if rx != ry:
+                parent[ry] = rx
 
     groups: dict[int, list[Word]] = {}
     for k, w in enumerate(words):
@@ -265,6 +266,22 @@ def stratum_classes(P: Presentation, s: int) -> StratumPartition:
 
 def class_representative(P: Presentation, word: Word) -> Word:
     return stratum_classes(P, P.gens.grade(word)).representative(word)
+
+
+def relation_differences(P: Presentation) -> tuple[tuple[int, ...], ...]:
+    """The distinct differences u - v of the relations, in first-seen order.
+
+    Many relations share a difference (every translate r + u = r + v of a
+    relation u = v does); the lattice and the rational row space of the
+    relations depend only on this set.
+    """
+    if P._differences is None:
+        P._differences = tuple(
+            dict.fromkeys(
+                tuple(a - b for a, b in zip(u, v)) for u, v in P.relations
+            )
+        )
+    return P._differences
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +533,10 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     The group is the lattice spanned by the carrier generators modulo the
     differences u - v of all relations (syzygies between carrier
     generators are divided out as well, so the answer does not depend on
-    the chosen generator preimages).
+    the chosen generator preimages).  Only the distinct differences enter
+    the Smith normal form, so rank and invariant factors depend on them
+    alone; atom images are coordinates in a basis of the group that may
+    change with the difference list, but which atoms collide does not.
     """
     if P._completion is not None:
         return P._completion
@@ -524,8 +544,8 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     p = len(gens_words)
     gen_snf = smith_normal_form([list(w) for w in gens_words])
     rel_rows = []
-    for u, v in P.relations:
-        x = integer_solve(gen_snf, [a - b for a, b in zip(u, v)])
+    for diff in relation_differences(P):
+        x = integer_solve(gen_snf, list(diff))
         if x is None:
             raise InvalidPresentation(
                 "relation difference escapes the carrier lattice"
@@ -652,13 +672,15 @@ def is_half_factorial(
     linear part is solved exactly over the rationals; leftover freedom is
     searched over small integer values, and an unfinished search is
     reported as inconclusive rather than as a verdict.
+
+    The relations enter only through their distinct differences u - v.
+    Gauss-Jordan elimination reaches the reduced row echelon form of the
+    row space, so the verdict and the assignment depend on that set alone.
     """
     ats = atoms(P)
     gen_words = generating_words(P)
     ng = len(P.gens)
-    rows = [
-        [Fraction(a - b) for a, b in zip(u, v)] for u, v in P.relations
-    ]
+    rows = [[Fraction(x) for x in diff] for diff in relation_differences(P)]
     rhs = [Fraction(0)] * len(rows)
     for a in ats:
         rows.append([Fraction(x) for x in a.representative])
@@ -711,26 +733,37 @@ class CancellativityScan:
 
 
 def cancellativity_scan(P: Presentation, bound: int) -> CancellativityScan:
-    """Search strata up to `bound` for a + x = a + y with x != y."""
+    """Search strata up to `bound` for a + x = a + y with x != y.
+
+    x, y and a are the least words of their classes.  The certificate
+    returned is the first in this order: the least grade g of x, then the
+    least pair (x, y) of grade-g classes in class order, then the first
+    grade h of a and the first a-class of that grade.  For each (h, a) the
+    grade-g classes are bucketed by the class of a + x, one lookup per
+    (x, h, a); the least pair in a bucket is its first two members.
+    """
     grades = [s for s in range(1, bound + 1) if P.words_of_grade(s)]
+    parts = {s: stratum_classes(P, s) for s in grades}
+    reps = {s: [min(c) for c in parts[s].classes] for s in grades}
     for g in grades:
-        part = stratum_classes(P, g)
-        if len(part.classes) < 2:
+        if len(reps[g]) < 2:
             continue
-        reps = [min(c) for c in part.classes]
-        for xi in range(len(reps)):
-            for yi in range(xi + 1, len(reps)):
-                x, y = reps[xi], reps[yi]
-                for h in grades:
-                    if g + h > bound:
-                        continue
-                    target = stratum_classes(P, g + h)
-                    for a_cls in stratum_classes(P, h).classes:
-                        a = min(a_cls)
-                        ax = tuple(p + q for p, q in zip(a, x))
-                        ay = tuple(p + q for p, q in zip(a, y))
-                        if target.index[ax] == target.index[ay]:
-                            return CancellativityScan(bound, (a, x, y))
+        best = None  # ((xi, yi), a): least colliding pair and its first a
+        for h in grades:
+            if g + h > bound:
+                continue
+            target = parts[g + h].index
+            for a in reps[h]:
+                first: dict[int, int] = {}  # target class -> least xi in it
+                for xi, x in enumerate(reps[g]):
+                    t = target[tuple(p + q for p, q in zip(a, x))]
+                    if t not in first:
+                        first[t] = xi
+                    elif best is None or (first[t], xi) < best[0]:
+                        best = ((first[t], xi), a)
+        if best is not None:
+            (xi, yi), a = best
+            return CancellativityScan(bound, (a, reps[g][xi], reps[g][yi]))
     return CancellativityScan(bound, None)
 
 

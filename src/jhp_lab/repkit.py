@@ -376,8 +376,19 @@ def rep_iso(A: Rep, B: Rep) -> bool:
     return False
 
 
-def _resolve(rows: list[list[int]], d: int, h: tuple[int, ...]) -> Counter:
-    """Multiplicities m = rows . h / d, checked to be nonnegative integers."""
+def _resolve(
+    rows: list[list[int]],
+    d: int,
+    h: tuple[int, ...],
+    catalogue: tuple[Rep, ...],
+    dims: tuple[int, ...],
+) -> Counter:
+    """Multiplicities m = rows . h / d of the catalogue entries.
+
+    They are checked to be nonnegative integers whose catalogue entries
+    add up to the dimension vector `dims` of the object that gave the Hom
+    counts h; a catalogue that misses an indecomposable fails one check.
+    """
     out = Counter()
     for k, row in enumerate(rows):
         x = sum(a * b for a, b in zip(row, h))
@@ -387,6 +398,14 @@ def _resolve(rows: list[list[int]], d: int, h: tuple[int, ...]) -> Counter:
             )
         if x:
             out[k] = x // d
+    got = tuple(
+        sum(m * catalogue[k].dims[v] for k, m in out.items())
+        for v in range(len(dims))
+    )
+    if got != dims:
+        raise NegativeMultiplicity(
+            f"Hom counts {h} give dimension vector {got}, not {dims}"
+        )
     return out
 
 
@@ -544,14 +563,8 @@ class Membership:
         if not self.complete:
             return self.classify(rep)
         N, _, d = self._inverse_hom_matrix()
-        out = _resolve(N, d, tuple(hom_dim(c, rep) for c in self.catalogue))
-        dims = tuple(
-            sum(out[k] * c.dims[v] for k, c in enumerate(self.catalogue))
-            for v in range(self.algebra.vertices)
-        )
-        if dims != rep.dims:
-            raise NegativeMultiplicity("decomposition does not match dimensions")
-        return out
+        h = tuple(hom_dim(c, rep) for c in self.catalogue)
+        return _resolve(N, d, h, self.catalogue, rep.dims)
 
     def classify(self, rep: Rep) -> Counter:
         """Iso-search fallback for incomplete catalogues (small dims)."""
@@ -664,9 +677,11 @@ class SubquotClassifier:
                         if row:
                             rows.append(row)
             fingerprint.append(len(basis) - gf2.rank(rows))
-        key = tuple(fingerprint)
+        key = (tuple(fingerprint), S.dims())
         if key not in self._sub_cache:
-            self._sub_cache[key] = _resolve(self._N, self._d, key)
+            self._sub_cache[key] = _resolve(
+                self._N, self._d, key[0], self.E.catalogue, key[1]
+            )
         return self._sub_cache[key]
 
     def quot_class(self, S: SubRep) -> Counter:
@@ -689,9 +704,14 @@ class SubquotClassifier:
                         if row:
                             rows.append(row)
             fingerprint.append(len(basis) - gf2.rank(rows))
-        key = tuple(fingerprint)
+        key = (
+            tuple(fingerprint),
+            tuple(d - len(b) for d, b in zip(self.X.dims, S.bases)),
+        )
         if key not in self._quot_cache:
-            self._quot_cache[key] = _resolve(self._NT, self._d, key)
+            self._quot_cache[key] = _resolve(
+                self._NT, self._d, key[0], self.E.catalogue, key[1]
+            )
         return self._quot_cache[key]
 
     def classes(self, S: SubRep) -> tuple[Counter, Counter]:

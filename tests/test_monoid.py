@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from jhp_lab import monoid
 from jhp_lab.monoid import (
@@ -346,3 +349,122 @@ class TestDimvecConstancy:
             for cls in stratum_classes(pres, s).classes:
                 vecs = {pres.gens.dimvec(w) for w in cls}
                 assert len(vecs) == 1
+
+
+# ---------------------------------------------------------------------------
+# definitional oracles for strata and the cancellativity scan
+
+
+def oracle_stratum_classes(P, s):
+    """Classes and index at grade s by testing every word against every
+    relation in both orientations, with the carrier-leftover check."""
+    words = P.words_of_grade(s)
+    block = {w: {w} for w in words}
+    for w in words:
+        for u, v in P.relations + tuple((v, u) for u, v in P.relations):
+            if all(a >= b for a, b in zip(w, u)):
+                r = tuple(a - b for a, b in zip(w, u))
+                if P.carrier.contains(P.gens, r):
+                    w2 = tuple(a + b for a, b in zip(r, v))
+                    if block[w] is not block[w2]:
+                        merged = block[w] | block[w2]
+                        for x in merged:
+                            block[x] = merged
+    classes = sorted({frozenset(b) for b in block.values()}, key=min)
+    index = {w: k for k, cls in enumerate(classes) for w in cls}
+    return tuple(classes), index
+
+
+def oracle_cancellativity_scan(P, bound):
+    """First (a, x, y) over grade g, pairs x < y of grade-g classes, then
+    grade h and class a, with a + x and a + y in one class."""
+    grades = [s for s in range(1, bound + 1) if P.words_of_grade(s)]
+    strata = {s: oracle_stratum_classes(P, s) for s in grades}
+    for g in grades:
+        reps = [min(c) for c in strata[g][0]]
+        for xi in range(len(reps)):
+            for yi in range(xi + 1, len(reps)):
+                x, y = reps[xi], reps[yi]
+                for h in grades:
+                    if g + h > bound:
+                        continue
+                    index = strata[g + h][1]
+                    for a in (min(c) for c in strata[h][0]):
+                        ax = tuple(p + q for p, q in zip(a, x))
+                        ay = tuple(p + q for p, q in zip(a, y))
+                        if index[ax] == index[ay]:
+                            return (a, x, y)
+    return None
+
+
+@st.composite
+def small_presentations(draw):
+    """A presentation on at most four generators, half of them with a
+    dimension-vector carrier, and a scan bound of at most 7."""
+    k = draw(st.integers(2, 4))
+    vec = st.sampled_from([(a, b) for a in range(3) for b in range(3) if a or b])
+    if draw(st.booleans()):
+        dimvecs = tuple(draw(st.lists(vec, min_size=k, max_size=k)))
+        gens = GeneratorTable(
+            tuple(f"g{i}" for i in range(k)), tuple(map(sum, dimvecs)), dimvecs
+        )
+        carrier = Carrier.dimvec_submonoid(
+            draw(st.lists(vec, min_size=1, max_size=2))
+        )
+    else:
+        gens = GeneratorTable(
+            tuple(f"g{i}" for i in range(k)),
+            tuple(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))),
+        )
+        carrier = Carrier.all_words()
+    free = Presentation(gens, carrier, ())
+    grades = [s for s in range(1, 5) if len(free.words_of_grade(s)) > 1]
+    relations = []
+    # a common summand c makes relations c + u = c + v that need not
+    # cancel, so that a good share of the scans return a certificate
+    for _ in range(draw(st.integers(1, 5)) if grades else 0):
+        words = free.words_of_grade(draw(st.sampled_from(grades)))
+        u, v = draw(st.lists(st.sampled_from(words), min_size=2, max_size=2,
+                             unique=True))
+        t = draw(st.sampled_from([0] + grades[:1]))
+        c = draw(st.sampled_from(free.words_of_grade(t)))
+        relations.append((tuple(map(add, c, u)), tuple(map(add, c, v))))
+    return Presentation(gens, carrier, tuple(relations)), draw(st.integers(1, 7))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(small_presentations(), st.data())
+    def test_strata_scan_and_relation_differences(self, case, data):
+        P, bound = case
+        for s in range(bound + 1):
+            part = stratum_classes(P, s)
+            assert (part.classes, part.index) == oracle_stratum_classes(P, s)
+        scan = cancellativity_scan(P, bound)
+        assert scan.bound == bound
+        assert scan.certificate == oracle_cancellativity_scan(P, bound)
+        event(f"certificate: {scan.certificate is not None}")
+        if not P.relations:
+            return
+        # duplicated, reversed and translated relations present the same
+        # monoid, with the same differences up to sign
+        extra = []
+        for u, v in data.draw(st.lists(st.sampled_from(P.relations), max_size=3)):
+            words = P.words_of_grade(data.draw(st.integers(0, 2)))
+            r = data.draw(st.sampled_from(words or (P.gens.zero(),)))
+            extra += [(u, v), (v, u), (tuple(map(add, r, u)), tuple(map(add, r, v)))]
+        Q = Presentation(P.gens, P.carrier, P.relations + tuple(extra))
+        for s in range(bound + 1):
+            assert stratum_classes(Q, s).classes == stratum_classes(P, s).classes
+        assert cancellativity_scan(Q, bound) == scan
+        try:
+            gp = group_completion(P)
+        except monoid.InvalidPresentation:
+            # generating_words misses an irreducible word above the
+            # largest carrier-vector grade, so no completion exists
+            return
+        gq = group_completion(Q)
+        assert (gq.rank, gq.invariant_factors) == (gp.rank, gp.invariant_factors)
+        hp, hq = is_half_factorial(P), is_half_factorial(Q)
+        event(f"half-factorial: {hp.status}")
+        assert (hq.status, hq.assignment) == (hp.status, hp.assignment)

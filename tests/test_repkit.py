@@ -170,6 +170,13 @@ class TestDecompose:
         for X in (S2, repkit.direct_sum(P.algebra, [P, S2])):
             with pytest.raises(repkit.NegativeMultiplicity):
                 bad.decompose(X)
+        # P over its socle S1 is S2: no Hom count out of it is nonzero, so
+        # only the dimension vector (0, 1) shows that the class is missing
+        clf = repkit.SubquotClassifier(bad, P)
+        socle = next(S for S in repkit.enumerate_subreps(P) if S.dims() == (1, 0))
+        assert clf.sub_class(socle) == {0: 1}
+        with pytest.raises(repkit.NegativeMultiplicity):
+            clf.quot_class(socle)
 
 
 class TestSubreps:
