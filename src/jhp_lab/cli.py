@@ -8,6 +8,11 @@ Command-line front end.
 Exit codes: 0 success, 2 I/O failure, 3 violated precondition or bad
 input, 4 resource bound exceeded (the message names the limit), 5 internal
 error (the program's own data are inconsistent).
+
+An explicit `analyze --bound` must be at least the largest generator
+grade and at least the bound where the default harvest stops (the first
+bound whose relation lattice is certified, at most twice the largest
+generator grade); a lower one exits 3 with the minimum in the message.
 """
 from __future__ import annotations
 
@@ -56,6 +61,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     w = parse_perm(args.w)
     src = grothendieck.typea_torsionfree(w, quiver, grade_bound=args.bound)
     report = grothendieck.report(src)
+    if args.bound is not None and not grothendieck.relation_lattice_certified(
+        report.presentation
+    ):
+        # below the default's stop the lattice can be coarser than the
+        # monoid's, and the verdicts wrong
+        default = grothendieck.typea_torsionfree(w, quiver)
+        stop = grothendieck.presentation_of(default).relation_grade_bound
+        if args.bound < stop:
+            raise repkit.InvalidSpec(
+                f"harvest bound {args.bound} is below {stop}, where the default"
+                f" harvest stops; --bound must be at least {stop}"
+            )
     _write(report.to_json() + "\n", args.out)
     if args.dot is not None:
         dot = monoid.cayley_quiver(report.presentation, report.cancellative_bound)

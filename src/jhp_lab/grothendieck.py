@@ -303,7 +303,7 @@ class MonoidReport:
     k0_rank: int
     k0_torsion: list[int]
     jhp: bool
-    unique_length: bool | None  # None = inconclusive
+    unique_length: bool
     cancellative_status: str  # "certificate" or "none_up_to_bound"
     cancellative_bound: int
     certificate: tuple[str, str, str] | None
@@ -326,9 +326,7 @@ class MonoidReport:
             "atoms": self.atoms,
             "k0": {"rank": self.k0_rank, "torsion": self.k0_torsion},
             "jhp": self.jhp,
-            "unique_length": (
-                "inconclusive" if self.unique_length is None else self.unique_length
-            ),
+            "unique_length": self.unique_length,
             "cancellative": cancellative,
             "dim_monoid": [list(v) for v in self.dim_monoid],
             "caveats": self.caveats,
@@ -383,7 +381,6 @@ def report(src: CategorySource) -> MonoidReport:
             pres.format_word(x),
             pres.format_word(y),
         )
-    unique_length = {"yes": True, "no": False, "inconclusive": None}[hf.status]
     gens_json = [
         {
             "name": pres.gens.names[k],
@@ -400,7 +397,7 @@ def report(src: CategorySource) -> MonoidReport:
         k0_rank=gc.rank,
         k0_torsion=list(gc.invariant_factors),
         jhp=fv.free,
-        unique_length=unique_length,
+        unique_length=hf.status == "yes",
         cancellative_status=(
             "certificate" if scan.certificate is not None else "none_up_to_bound"
         ),
@@ -518,17 +515,7 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
         complete=False,
         name="kronecker-no-source-socle",
     )
-
-    def enum(length: int):
-        lengths = [r.total_dim for r in members]
-        for word in repkit._multisets_up_to(lengths, length + 1):
-            if sum(m * l for m, l in zip(word, lengths)) == length:
-                parts = []
-                for k, m in enumerate(word):
-                    parts.extend([members[k]] * m)
-                yield repkit.direct_sum(algebra, parts)
-
-    pairs = repkit.conflations_up_to(membership, bound, iso_enumerator=enum)
+    pairs = repkit.conflations_up_to(membership, bound)
     gens = GeneratorTable(
         labels,
         tuple(r.total_dim for r in members),

@@ -264,10 +264,6 @@ def stratum_classes(P: Presentation, s: int) -> StratumPartition:
     return part
 
 
-def class_representative(P: Presentation, word: Word) -> Word:
-    return stratum_classes(P, P.gens.grade(word)).representative(word)
-
-
 def relation_differences(P: Presentation) -> tuple[tuple[int, ...], ...]:
     """The distinct differences u - v of the relations, in first-seen order.
 
@@ -617,12 +613,12 @@ def is_free(P: Presentation) -> FreeVerdict:
 
 @dataclass(frozen=True)
 class HalfFactorialVerdict:
-    status: str  # "yes" | "no" | "inconclusive"
+    status: str  # "yes" | "no"
     assignment: dict | None = None
 
 
 def _rational_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Particular solution and nullspace basis of rows . x = rhs, or None."""
+    """A particular solution of rows . x = rhs (free unknowns 0), or None."""
     m = len(rows)
     n = len(rows[0]) if m else 0
     M = [row[:] + [rhs[k]] for k, row in enumerate(rows)]
@@ -649,77 +645,39 @@ def _rational_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     part = [Fraction(0)] * n
     for k, c in enumerate(pivots):
         part[c] = M[k][n]
-    null = []
-    pivset = set(pivots)
-    for c in range(n):
-        if c in pivset:
-            continue
-        vec = [Fraction(0)] * n
-        vec[c] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            vec[pc] = -M[k][c]
-        null.append(vec)
-    return part, null
+    return part
 
 
-def is_half_factorial(
-    P: Presentation, search_bound: int = 64, max_free: int = 3
-) -> HalfFactorialVerdict:
-    """Feasibility of a grading that is 1 on every atom.
+def is_half_factorial(P: Presentation) -> HalfFactorialVerdict:
+    """Do all factorizations of a class into atoms have one length?
 
-    The monoid is half-factorial iff some additive integer functional is 1
-    on all atoms and at least 1 on every irreducible carrier word.  The
-    linear part is solved exactly over the rationals; leftover freedom is
-    searched over small integer values, and an unfinished search is
-    reported as inconclusive rather than as a verdict.
+    Exactly when some additive functional is 1 on every atom and 0 on
+    every relation difference u - v; the linear system is solved over the
+    rationals.  Its solutions agree on the carrier: a generating word w
+    is congruent to a sum of k >= 1 atoms (the monoid is graded and every
+    irreducible word of grade at most that of w is found), so w minus
+    that sum lies in the span of the differences and every solution is k
+    on w.  The verdict is "yes", with the values of the particular
+    solution on the generating words, when the system is consistent, and
+    "no" otherwise.
 
     The relations enter only through their distinct differences u - v.
     Gauss-Jordan elimination reaches the reduced row echelon form of the
     row space, so the verdict and the assignment depend on that set alone.
     """
-    ats = atoms(P)
-    gen_words = generating_words(P)
-    ng = len(P.gens)
     rows = [[Fraction(x) for x in diff] for diff in relation_differences(P)]
     rhs = [Fraction(0)] * len(rows)
-    for a in ats:
+    for a in atoms(P):
         rows.append([Fraction(x) for x in a.representative])
         rhs.append(Fraction(1))
-    solved = _rational_solve(rows, rhs) if rows else ([Fraction(0)] * ng, [
-        [Fraction(int(i == j)) for j in range(ng)] for i in range(ng)
-    ])
-    if solved is None:
+    part = _rational_solve(rows, rhs) if rows else [Fraction(0)] * len(P.gens)
+    if part is None:
         return HalfFactorialVerdict("no")
-    part, null = solved
-    # values on the carrier generators, affine in the free parameters
-    val0 = [sum(Fraction(m) * part[k] for k, m in enumerate(w)) for w in gen_words]
-    valdir = [
-        [sum(Fraction(m) * vec[k] for k, m in enumerate(w)) for w in gen_words]
-        for vec in null
-    ]
-    live = [t for t, col in enumerate(valdir) if any(col)]
-    if not live:
-        ok = all(v.denominator == 1 and v >= 1 for v in val0)
-        if ok:
-            assignment = {
-                P.format_word(w): int(v) for w, v in zip(gen_words, val0)
-            }
-            return HalfFactorialVerdict("yes", assignment)
-        return HalfFactorialVerdict("no")
-    if len(live) > max_free:
-        return HalfFactorialVerdict("inconclusive")
-    span = range(-search_bound, search_bound + 1)
-    for choice in product(span, repeat=len(live)):
-        vals = list(val0)
-        for c, t in zip(choice, live):
-            if c:
-                vals = [v + c * d for v, d in zip(vals, valdir[t])]
-        if all(v.denominator == 1 and 1 <= v <= search_bound * 4 for v in vals):
-            assignment = {
-                P.format_word(w): int(v) for w, v in zip(gen_words, vals)
-            }
-            return HalfFactorialVerdict("yes", assignment)
-    return HalfFactorialVerdict("inconclusive")
+    assignment = {
+        P.format_word(w): int(sum(m * part[k] for k, m in enumerate(w)))
+        for w in generating_words(P)
+    }
+    return HalfFactorialVerdict("yes", assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -444,7 +444,7 @@ class Membership:
         # (representation, iso_key) for each class seen without a complete
         # catalogue, and the catalogue decomposition of those classified
         self._iso_memo: list[tuple[Rep, tuple]] = []
-        self._classified: dict[tuple, Counter] = {}
+        self._summands: dict[tuple, tuple[int, ...]] = {}
 
     # -- constructors
 
@@ -561,17 +561,28 @@ class Membership:
     def decompose(self, rep: Rep) -> Counter:
         """Multiplicities of the catalogue entries in rep."""
         if not self.complete:
-            return self.classify(rep)
+            return Counter(self.summands(self.iso_key(rep)))
         N, _, d = self._inverse_hom_matrix()
         h = tuple(hom_dim(c, rep) for c in self.catalogue)
         return _resolve(N, d, h, self.catalogue, rep.dims)
 
-    def classify(self, rep: Rep) -> Counter:
-        """Iso-search fallback for incomplete catalogues (small dims)."""
-        key = self.iso_key(rep)
-        if key not in self._classified:
-            self._classified[key] = self._search_catalogue(rep)
-        return Counter(self._classified[key])
+    def summands(self, key: tuple) -> tuple[int, ...]:
+        """Sorted catalogue indices of the summands, with multiplicity, of
+        the class with this iso_key; a raw key is resolved once by iso
+        search (small dims)."""
+        if not _is_raw(key):
+            return key
+        if key not in self._summands:
+            found = self._search_catalogue(self.representative(key))
+            self._summands[key] = tuple(sorted(found.elements()))
+        return self._summands[key]
+
+    def representative(self, key: tuple) -> Rep:
+        """A representation in the class with this iso_key: the first one
+        seen for a raw key, else the direct sum of the catalogue entries."""
+        if _is_raw(key):
+            return self._iso_memo[key[1]][0]
+        return direct_sum(self.algebra, [self.catalogue[k] for k in key])
 
     def _search_catalogue(self, rep: Rep) -> Counter:
         def candidates(start: int, remaining: tuple[int, ...], acc: Counter):
@@ -619,6 +630,11 @@ class Membership:
             m = classes[k]
             bits.append(self.labels[k] if m == 1 else f"{m}*{self.labels[k]}")
         return "+".join(bits)
+
+
+def _is_raw(key: tuple) -> bool:
+    """Is this an iso_key of a membership without a complete catalogue?"""
+    return bool(key) and key[0] == "raw"
 
 
 class SubquotClassifier:
@@ -773,6 +789,11 @@ def enumerate_subreps(X: Rep, bound: int | None = None) -> list[SubRep]:
     return out
 
 
+def _proper_subreps(X: Rep, bound: int | None):
+    """The nonzero subspace tuples of X other than X itself, lazily."""
+    return (S for S in enumerate_subreps(X, bound) if S.total_dim not in (0, X.total_dim))
+
+
 def sub_rep(X: Rep, S: SubRep) -> Rep:
     """The subrepresentation carried by S, in its own coordinates."""
     dims = S.dims()
@@ -874,6 +895,36 @@ def _admissible(X: Rep, E: Membership, subs):
             outok = E.contains(quotient_rep(X, S))
         if outok:
             yield S
+
+
+def _steps(X: Rep, E: Membership, subs, accept=lambda key: True):
+    """(sub_key, quot_key) for each S among `subs` with S and X/S in E.
+
+    Keys are E.iso_key classes.  With a complete catalogue and no
+    representation predicate they are read off Hom fingerprints; otherwise
+    S and X/S are materialized.  A subobject whose key fails accept(key)
+    is skipped before its quotient is classified.
+    """
+    if not E.by_fingerprint:
+        for S in _admissible(X, E, subs):
+            sub_key = E.iso_key(sub_rep(X, S))
+            if accept(sub_key):
+                yield sub_key, E.iso_key(quotient_rep(X, S))
+        return
+    clf = SubquotClassifier(E, X)
+    for S in subs:
+        qdims = tuple(d - sd for d, sd in zip(X.dims, S.dims()))
+        if E.contains_dims(S.dims()) is False or E.contains_dims(qdims) is False:
+            continue
+        csub = clf.sub_class(S)
+        if not E.allows(csub):
+            continue
+        sub_key = tuple(sorted(csub.elements()))
+        if not accept(sub_key):
+            continue
+        cquot = clf.quot_class(S)
+        if E.allows(cquot):
+            yield sub_key, tuple(sorted(cquot.elements()))
 
 
 def admissible_subreps(X: Rep, E: Membership, bound: int | None = None) -> list[SubRep]:
@@ -989,12 +1040,7 @@ def is_simple_object(X: Rep, E: Membership, bound: int | None = None) -> bool:
     """Is X simple in E, i.e. are 0 and X its only admissible subobjects?"""
     if X.is_zero():
         return False
-    proper = (
-        S
-        for S in enumerate_subreps(X, bound)
-        if S.total_dim not in (0, X.total_dim)
-    )
-    return next(_admissible(X, E, proper), None) is None
+    return next(_admissible(X, E, _proper_subreps(X, bound)), None) is None
 
 
 class SeriesAnalyzer:
@@ -1003,118 +1049,56 @@ class SeriesAnalyzer:
     Walks maximal chains bottom-up: each first step is a simple admissible
     subobject, and the rest of any chain is a maximal chain of the
     quotient (the interval above a subobject is isomorphic to the
-    subobject poset of the quotient).  Chain sets are memoized by
-    isomorphism class, so analyzing many objects of one subcategory
-    shares all the work.  With a complete catalogue and no representation
-    predicate, classes of subobjects and quotients are read off Hom
-    fingerprints and quotients are rebuilt as canonical direct sums.
+    subobject poset of the quotient).  Chain sets and simplicity are
+    memoized by E.iso_key class and computed on the membership's
+    representative of the class, so analyzing many objects of one
+    subcategory shares all the work.
     """
 
     def __init__(self, E: Membership, bound: int | None = None):
         self.E = E
         self.bound = bound
-        self._simple: dict = {}
-        self._chains: dict = {}
+        self._simple_memo: dict = {}
+        self._chain_memo: dict = {}
 
-    def _is_simple(self, rep: Rep) -> bool:
-        k = self.E.iso_key(rep)
-        if k not in self._simple:
-            self._simple[k] = is_simple_object(rep, self.E, self.bound)
-        return self._simple[k]
-
-    def _canonical(self, classes: Counter) -> Rep:
-        parts = [self.E.catalogue[k] for k in sorted(classes.elements())]
-        return direct_sum(self.E.algebra, parts)
-
-    def _class_simple(self, key: tuple[int, ...]) -> bool:
-        if key not in self._simple:
-            self._simple[key] = is_simple_object(
-                self._canonical(Counter(key)), self.E, self.bound
+    def _simple(self, key: tuple) -> bool:
+        if key not in self._simple_memo:
+            self._simple_memo[key] = is_simple_object(
+                self.E.representative(key), self.E, self.bound
             )
-        return self._simple[key]
+        return self._simple_memo[key]
 
-    def _chains_fast(self, classes: Counter) -> frozenset[tuple]:
-        key = tuple(sorted(classes.elements()))
-        if key in self._chains:
-            return self._chains[key]
-        if not key:
-            result = frozenset({()})
-        else:
-            rep = self._canonical(classes)
-            clf = SubquotClassifier(self.E, rep)
-            out = set()
-            seen_steps = set()
-            for S in enumerate_subreps(rep, self.bound):
-                if S.total_dim == 0:
-                    continue
-                if self.E.contains_dims(S.dims()) is False:
-                    continue
-                qdims = tuple(d - sd for d, sd in zip(rep.dims, S.dims()))
-                if self.E.contains_dims(qdims) is False:
-                    continue
-                csub = clf.sub_class(S)
-                if self.E.summand_closed and sum(csub.values()) != 1:
-                    continue  # simple objects are indecomposable here
-                if not self.E.allows(csub):
-                    continue
-                sub_key = tuple(sorted(csub.elements()))
-                if not self._class_simple(sub_key):
-                    continue
-                cquot = clf.quot_class(S)
-                if not self.E.allows(cquot):
-                    continue
-                step = (sub_key, tuple(sorted(cquot.elements())))
-                if step in seen_steps:
-                    continue
-                seen_steps.add(step)
-                for tail in self._chains_fast(cquot):
-                    out.add(tuple(sorted(tail + (sub_key,))))
-            result = frozenset(out)
-        self._chains[key] = result
-        return result
+    def _simple_step(self, key: tuple) -> bool:
+        if self.E.complete and self.E.summand_closed and len(key) != 1:
+            return False  # simple objects are indecomposable here
+        return self._simple(key)
 
-    def _chains_slow(self, rep: Rep) -> frozenset[tuple]:
-        E = self.E
-        k = E.iso_key(rep)
-        if k in self._chains:
-            return self._chains[k]
-        if rep.is_zero():
-            result = frozenset({()})
-        else:
+    def _chains(self, key: tuple) -> frozenset[tuple]:
+        if key not in self._chain_memo:
+            X = self.E.representative(key)
             out = set()
-            seen_steps = set()
-            nonzero = (S for S in enumerate_subreps(rep, self.bound) if S.total_dim)
-            for S in _admissible(rep, E, nonzero):
-                sub = sub_rep(rep, S)
-                if not self._is_simple(sub):
-                    continue
-                quot = quotient_rep(rep, S)
-                step = (E.iso_key(sub), E.iso_key(quot))
-                if step in seen_steps:
-                    continue
-                seen_steps.add(step)
-                for tail in self._chains_slow(quot):
-                    out.add(tuple(sorted(tail + (step[0],))))
-            result = frozenset(out)
-        self._chains[k] = result
-        return result
+            if X.is_zero():
+                out.add(())
+            else:
+                nonzero = (S for S in enumerate_subreps(X, self.bound) if S.total_dim)
+                steps = _steps(X, self.E, nonzero, self._simple_step)
+                for sub_key, quot_key in dict.fromkeys(steps):
+                    for tail in self._chains(quot_key):
+                        out.add(tuple(sorted(tail + (sub_key,))))
+            self._chain_memo[key] = frozenset(out)
+        return self._chain_memo[key]
 
     def analyze(self, X: Rep) -> SeriesReport:
         if not self.E.contains(X):
             raise NotMember("X does not belong to the subcategory")
-        if self.E.by_fingerprint:
-            classes = self.E.decompose(X)
-            multisets = self._chains_fast(classes)
-            simple = self._class_simple(tuple(sorted(classes.elements())))
-        else:
-            multisets = self._chains_slow(X)
-            simple = self._is_simple(X)
+        key = self.E.iso_key(X)
+        multisets = self._chains(key)
         labels = frozenset(
             tuple(_label_key(self.E, k) for k in m) for m in multisets
         )
         lengths = frozenset(len(m) for m in multisets)
         return SeriesReport(
-            is_simple=simple,
+            is_simple=self._simple(key),
             factor_multisets=multisets,
             factor_labels=labels,
             lengths=lengths,
@@ -1130,7 +1114,7 @@ def series_analysis(X: Rep, E: Membership, bound: int | None = None) -> SeriesRe
 
 
 def _label_key(E: Membership, key) -> str:
-    if isinstance(key, tuple) and key and key[0] == "raw":
+    if _is_raw(key):
         return f"X{key[1]}"
     return E.label_of(Counter(key))
 
@@ -1179,15 +1163,15 @@ def _supports_connected(E: Membership, multiset: tuple[int, ...]) -> bool:
 def conflations_up_to(
     E: Membership,
     maxlen: int,
-    iso_enumerator=None,
     bound: int | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All middle-vs-ends relation pairs from conflations in E.
 
     Pairs are (class of Y, class of U plus class of Y/U) as multiplicity
-    words over the catalogue, for every subobject U of every Y in E with
-    total length at most `maxlen` such that U and Y/U lie in E.  Split
-    pairs (both sides equal) are dropped.
+    words over the catalogue, for every direct sum Y of live catalogue
+    entries with total length at most `maxlen` and every subobject U of Y
+    such that U and Y/U lie in E.  Split pairs (both sides equal) are
+    dropped.
 
     For additive memberships two reductions are applied; both only discard
     pairs that follow from retained ones by adding a common summand:
@@ -1199,84 +1183,44 @@ def conflations_up_to(
     if maxlen > bound:
         raise DimensionBoundExceeded(f"middle length {maxlen}", bound)
     pairs: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    if iso_enumerator is not None:
-        sources = [
-            (None, Y) for ln in range(1, maxlen + 1) for Y in iso_enumerator(ln)
-        ]
-    else:
-        if not E.complete:
-            raise InvalidSpec("need a complete catalogue or an iso enumerator")
-        lengths = [c.total_dim for c in E.catalogue]
-        live = E.live
-        sources = []
-        for small in _multisets_up_to([lengths[k] for k in live], maxlen):
-            word = [0] * len(E.catalogue)
-            for pos, m in zip(live, small):
-                word[pos] = m
-            word = tuple(word)
-            if E.dim_pred is not None:
-                dims = tuple(
-                    sum(word[k] * c.dims[v] for k, c in enumerate(E.catalogue))
-                    for v in range(E.algebra.vertices)
-                )
-                if not E.dim_pred(dims):
-                    continue
-            if E.summand_closed:
-                if not _supports_connected(E, word):
-                    continue
-                only = [k for k, m in enumerate(word) if m]
-                if (
-                    len(only) == 1
-                    and word[only[0]] > 1
-                    and E.catalogue[only[0]].total_dim == 1
-                ):
-                    continue
-            sources.append((word, None))
-
-    for word, Y in sources:
-        if Y is None:
-            parts = []
-            for k, m in enumerate(word):
-                parts.extend([E.catalogue[k]] * m)
-            Y = direct_sum(E.algebra, parts)
-            y_word = word
-        else:
-            y_word = _word_of(E, E.decompose(Y))
-        clf = SubquotClassifier(E, Y) if E.by_fingerprint else None
-        for S in enumerate_subreps(Y, bound):
-            if S.total_dim in (0, Y.total_dim):
+    lengths = [c.total_dim for c in E.catalogue]
+    live = E.live
+    for small in _multisets_up_to([lengths[k] for k in live], maxlen):
+        word = [0] * len(E.catalogue)
+        for pos, m in zip(live, small):
+            word[pos] = m
+        word = tuple(word)
+        if E.dim_pred is not None:
+            dims = tuple(
+                sum(word[k] * c.dims[v] for k, c in enumerate(E.catalogue))
+                for v in range(E.algebra.vertices)
+            )
+            if not E.dim_pred(dims):
                 continue
-            inok = E.contains_dims(S.dims())
-            qdims = tuple(d - sd for d, sd in zip(Y.dims, S.dims()))
-            outok = E.contains_dims(qdims)
-            if inok is False or outok is False:
+        if E.summand_closed:
+            if not _supports_connected(E, word):
                 continue
-            if E.by_fingerprint:
-                csub = clf.sub_class(S)
-                if not E.allows(csub):
-                    continue
-                cquot = clf.quot_class(S)
-                if not E.allows(cquot):
-                    continue
-                rhs = _word_of(E, csub + cquot)
-            else:
-                sub = sub_rep(Y, S)
-                if inok is None and not E.contains(sub):
-                    continue
-                quot = quotient_rep(Y, S)
-                if outok is None and not E.contains(quot):
-                    continue
-                rhs = _word_of(E, E.decompose(sub) + E.decompose(quot))
-            if rhs != y_word:
-                pairs.add((y_word, rhs))
+            only = [k for k, m in enumerate(word) if m]
+            if (
+                len(only) == 1
+                and word[only[0]] > 1
+                and E.catalogue[only[0]].total_dim == 1
+            ):
+                continue
+        Y = direct_sum(
+            E.algebra, [c for k, c in enumerate(E.catalogue) for _ in range(word[k])]
+        )
+        for sub_key, quot_key in _steps(Y, E, _proper_subreps(Y, bound)):
+            rhs = _word_of(E, E.summands(sub_key) + E.summands(quot_key))
+            if rhs != word:
+                pairs.add((word, rhs))
     return sorted(pairs)
 
 
-def _word_of(E: Membership, classes: Counter) -> tuple[int, ...]:
+def _word_of(E: Membership, summands) -> tuple[int, ...]:
     word = [0] * len(E.catalogue)
-    for k, m in classes.items():
-        word[k] = m
+    for k in summands:
+        word[k] += 1
     return tuple(word)
 
 
@@ -1333,30 +1277,23 @@ def _splits_over(rep: Rep, parts: list[Rep]) -> bool:
 def torsion_free_classes(E: Membership, check_len: int) -> list[frozenset[int]]:
     """Subsets of the catalogue closed under submodules and extensions.
 
-    Both closure conditions are certified for middles of total length at
-    most `check_len`; representation-finite desk-scale algebras are well
-    within that range.
+    E must be the full module category of a complete catalogue.  Both
+    closure conditions are certified for middles of total length at most
+    `check_len`; representation-finite desk-scale algebras are well within
+    that range.
     """
-    if not E.complete:
-        raise InvalidSpec("need a complete catalogue")
+    if not (E.complete and E.allowed is None and E.summand_closed):
+        raise InvalidSpec("need the full module category of a complete catalogue")
     bound = dimension_bound()
     if check_len > bound:
         raise DimensionBoundExceeded(f"check length {check_len}", bound)
     cat = E.catalogue
     lengths = [c.total_dim for c in cat]
-    facts = []  # (y_classes, [(u_classes, q_classes)])
+    facts = []  # (y_classes, {(u_classes, q_classes)})
     for word in _multisets_up_to(lengths, check_len):
         Y = direct_sum(E.algebra, [c for k, c in enumerate(cat) for _ in range(word[k])])
-        pairs = []
-        for S in enumerate_subreps(Y, bound):
-            if S.total_dim in (0, Y.total_dim):
-                continue
-            pairs.append(
-                (
-                    frozenset(E.decompose(sub_rep(Y, S))),
-                    frozenset(E.decompose(quotient_rep(Y, S))),
-                )
-            )
+        steps = _steps(Y, E, _proper_subreps(Y, bound))
+        pairs = {(frozenset(u), frozenset(q)) for u, q in steps}
         facts.append((frozenset(k for k, m in enumerate(word) if m), pairs))
 
     out = []

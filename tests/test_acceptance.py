@@ -257,9 +257,8 @@ def test_criterion_7_noncancellativity_certificates():
         rep = gk.report(src)
         assert rep.certificate == ("M", "M", "P2")
         pres = rep.presentation
-        assert monoid.class_representative(
-            pres, (0, 0, 0, 1)
-        ) != monoid.class_representative(pres, (0, 1, 0, 0))
+        part = monoid.stratum_classes(pres, 3)
+        assert part.representative((0, 0, 0, 1)) != part.representative((0, 1, 0, 0))
 
         pres11 = gk.presentation_of(gk.a2_designated(1, 1))
         scan = monoid.cancellativity_scan(pres11, 4)

@@ -113,6 +113,14 @@ class TestAnalyze:
             assert code == 3 and out == "", bound
             assert "--bound" in err and "at least 3" in err, bound
 
+    def test_bound_below_default_stop_exit3(self, capsys):
+        # the default harvest of F(3412) stops at the certified bound 4;
+        # at bound 3 the lattice misses a relation and JHP would read true
+        code, out, err = run(capsys, "analyze", "--quiver", "1>2<3",
+                             "--w", "3412", "--bound", "3")
+        assert code == 3 and out == ""
+        assert "--bound" in err and "at least 4" in err
+
     @pytest.mark.parametrize(
         "error", [repkit.NegativeMultiplicity, repkit.SingularSystem]
     )

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 from jhp_lab import grothendieck as gk
 from jhp_lab import monoid, nakayama, regress, repkit, typea
@@ -33,6 +34,43 @@ def test_jhp_verdict_matches_series_bruteforce_over_a3():
             if not analyzer.analyze(X).jhp_holds:
                 brute = False
         assert brute == typea.jhp_verdict(w, Q3)
+
+
+def test_fingerprint_and_materializing_walks_agree_over_a3():
+    # F(w) reads classes off Hom fingerprints; the same class cut out by a
+    # representation predicate materializes subobjects and quotients
+    for q in map(parse_orientation, ("1>2<3", "1<2>3", "1<2<3")):
+        for w in enumerate_c_sortable(coxeter_element(q)):
+            E = typea.torsion_free_membership(w, q)
+            # E.contains is pure; the cache only skips repeated decompositions
+            P = repkit.Membership.predicate(
+                E.algebra, lru_cache(maxsize=None)(E.contains),
+                catalogue=E.catalogue, labels=E.labels, complete=True,
+            )
+            fast, slow = repkit.SeriesAnalyzer(E), repkit.SeriesAnalyzer(P)
+            live = E.live
+            lengths = [E.catalogue[k].total_dim for k in live]
+            for word in repkit._multisets_up_to(lengths, 4):
+                parts = [E.catalogue[k] for k, m in zip(live, word) for _ in range(m)]
+                X = repkit.direct_sum(E.algebra, parts)
+                assert fast.analyze(X) == slow.analyze(X), (q, w, word)
+            # the additive harvest prunes pairs that follow from kept ones
+            pairs_e = repkit.conflations_up_to(E, 4)
+            pairs_p = repkit.conflations_up_to(P, 4)
+            assert set(pairs_e) <= set(pairs_p)
+            gens = monoid.GeneratorTable(
+                tuple(E.labels[k] for k in live), tuple(lengths)
+            )
+
+            def strata(pairs):
+                rels = tuple(
+                    (tuple(u[k] for k in live), tuple(v[k] for k in live))
+                    for u, v in pairs
+                )
+                pres = monoid.Presentation(gens, monoid.Carrier.all_words(), rels)
+                return [monoid.stratum_classes(pres, s).classes for s in range(5)]
+
+            assert strata(pairs_e) == strata(pairs_p), (q, w)
 
 
 def test_atoms_are_exactly_the_simple_objects():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import event, given, settings
@@ -14,7 +14,6 @@ from jhp_lab.monoid import (
     atoms,
     cancellativity_scan,
     cayley_quiver,
-    class_representative,
     generating_words,
     group_completion,
     integer_kernel,
@@ -317,7 +316,9 @@ class TestCancellativity:
         ax = tuple(p + q for p, q in zip(a, x))
         ay = tuple(p + q for p, q in zip(a, y))
         assert part.index[ax] == part.index[ay]
-        assert class_representative(pres, x) != class_representative(pres, y)
+        rx = stratum_classes(pres, pres.gens.grade(x)).representative(x)
+        ry = stratum_classes(pres, pres.gens.grade(y)).representative(y)
+        assert rx != ry
 
 
 class TestCayley:
@@ -397,6 +398,35 @@ def oracle_cancellativity_scan(P, bound):
     return None
 
 
+def oracle_factorisation_lengths(P, bound, assignment):
+    """Brute force: every factorization of a class of grade at most `bound`
+    into atoms has the length that `assignment` gives each word of the
+    class, read through any splitting into generating words."""
+    gen_words = generating_words(P)
+    value = {P.gens.zero(): 0}
+    for s in range(1, bound + 1):
+        for w in P.words_of_grade(s):
+            for g in gen_words:
+                rest = tuple(map(sub, w, g))
+                if rest in value:
+                    value[w] = value[rest] + assignment[P.format_word(g)]
+                    break
+    reps = [a.representative for a in atoms(P)]
+
+    def products(start, word, k):
+        yield word, k
+        for i in range(start, len(reps)):
+            nxt = tuple(map(add, word, reps[i]))
+            if P.gens.grade(nxt) <= bound:
+                yield from products(i, nxt, k + 1)
+
+    for word, k in products(0, P.gens.zero(), 0):
+        part = stratum_classes(P, P.gens.grade(word))
+        for w in part.class_of(word):
+            if w in value:
+                assert value[w] == k, (P.format_word(word), k, P.format_word(w))
+
+
 @st.composite
 def small_presentations(draw):
     """A presentation on at most four generators, half of them with a
@@ -468,3 +498,5 @@ class TestAgainstOracle:
         hp, hq = is_half_factorial(P), is_half_factorial(Q)
         event(f"half-factorial: {hp.status}")
         assert (hq.status, hq.assignment) == (hp.status, hp.assignment)
+        if hp.status == "yes":
+            oracle_factorisation_lengths(P, bound, hp.assignment)
