@@ -122,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--bound", type=int, help="relation harvest grade bound")
     p_an.add_argument("--out", help="output path (default stdout)")
     p_an.add_argument("--dot", help="also write the truncated Cayley quiver here")
-    p_an.add_argument(
-        "--format", choices=("json",), default="json", help="output format"
-    )
     p_an.set_defaults(func=cmd_analyze)
 
     p_reg = sub.add_parser("regress", help="run the counterexample regressions")

@@ -52,7 +52,6 @@ class CategorySource:
     members: frozenset | None = None
     presentation_text: str | None = None
     membership: repkit.Membership | None = None
-    allowed: tuple[int, ...] | None = None
 
 
 def typea_torsionfree(
@@ -127,9 +126,7 @@ def abstract_source(
 
 
 def repkit_backed(
-    membership: repkit.Membership,
-    grade_bound: int | None = None,
-    allowed: tuple[int, ...] | None = None,
+    membership: repkit.Membership, grade_bound: int | None = None
 ) -> CategorySource:
     return CategorySource(
         kind="repkit",
@@ -137,7 +134,6 @@ def repkit_backed(
         grade_bound=grade_bound,
         object_word="simple objects",
         membership=membership,
-        allowed=tuple(membership.live) if allowed is None else allowed,
     )
 
 
@@ -210,22 +206,15 @@ def relation_lattice_certified(pres: Presentation) -> bool:
     return not gc.invariant_factors and (ngen - gc.rank) == ker_rank
 
 
-def a2_conflation_rule(x: tuple, y: tuple, z: tuple) -> bool:
-    """Can y be the middle of a conflation with sub x and quotient z?
+def a2_middles(x: tuple, z: tuple):
+    """The non-split middles of conflations with sub x and quotient z.
 
     Words are (S1, S2, P) multiplicity triples over the A2 path algebra
-    with projective cover P of S2.  Middles arise from gluing t pairs of
-    an S1 from the sub and an S2 from the quotient into t copies of P.
+    with projective cover P of S2.  Middles arise from gluing t >= 1 pairs
+    of an S1 from the sub and an S2 from the quotient into t copies of P.
     """
-    bx, cx, ax = x
-    by, cy, ay = y
-    bz, cz, az = z
-    t = ay - ax - az
-    return (
-        0 <= t <= min(bx, cz)
-        and by == bx + bz - t
-        and cy == cx + cz - t
-    )
+    for t in range(1, min(x[0], z[1]) + 1):
+        yield (x[0] + z[0] - t, x[1] + z[1] - t, x[2] + z[2] + t)
 
 
 def _a2_presentation(m: int, n: int, grade_bound: int) -> Presentation:
@@ -238,14 +227,10 @@ def _a2_presentation(m: int, n: int, grade_bound: int) -> Presentation:
     relations = set()
     for x in words:
         for z in words:
-            gx, gz = gens.grade(x), gens.grade(z)
-            if gx + gz > grade_bound:
+            if gens.grade(x) + gens.grade(z) > grade_bound:
                 continue
-            top = min(x[0], z[1])  # S1 from the sub, S2 from the quotient
-            for t in range(1, top + 1):
-                y = (x[0] + z[0] - t, x[1] + z[1] - t, x[2] + z[2] + t)
-                split = tuple(a + b for a, b in zip(x, z))
-                relations.add((y, split))
+            split = tuple(a + b for a, b in zip(x, z))
+            relations.update((y, split) for y in a2_middles(x, z))
     return Presentation(
         gens, carrier, tuple(sorted(relations)), relation_grade_bound=grade_bound
     )
@@ -266,7 +251,7 @@ def presentation_of(src: CategorySource) -> Presentation:
         return _harvested_presentation(membership, membership.live, src.grade_bound)
     if src.kind == "repkit":
         return _harvested_presentation(
-            src.membership, list(src.allowed), src.grade_bound
+            src.membership, src.membership.live, src.grade_bound
         )
     if src.kind == "a2":
         return _a2_presentation(src.m, src.n, src.grade_bound)
@@ -310,7 +295,6 @@ class MonoidReport:
     dim_monoid: list[tuple[int, ...]]
     caveats: list[str]
     presentation: Presentation = field(repr=False, default=None)
-    free_witness: str = ""
 
     def to_json_dict(self) -> dict:
         cancellative: dict = {
@@ -406,7 +390,6 @@ def report(src: CategorySource) -> MonoidReport:
         dim_monoid=dimension_monoid(src, pres),
         caveats=caveats,
         presentation=pres,
-        free_witness=fv.witness,
     )
 
 
@@ -478,11 +461,11 @@ class KroneckerDemo:
 def kronecker_demo(bound: int = 3) -> KroneckerDemo:
     """Bounded study of Kronecker representations with no simple-socle split.
 
-    Harvests all indecomposables of total dimension at most `bound` that
-    contain no direct summand concentrated at the source vertex, presents
-    the resulting monoid, and exhibits the three distinct one-parameter
-    classes over the two-element field that all complete the same
-    projective, breaking cancellativity.
+    Catalogues all indecomposables of total dimension at most `bound`, the
+    ones with no direct summand concentrated at the source vertex first,
+    presents the class they generate, and exhibits the three distinct
+    one-parameter classes over the two-element field that all complete the
+    same projective, breaking cancellativity.
     """
     if bound < 3:
         raise InvalidSpec("need bound >= 3 to reach the projective cover")
@@ -490,6 +473,7 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
     indecs = repkit.brute_force_catalogue(algebra, (bound, bound), bound)
     members = [r for r in indecs if _no_split_socle(r)]
     members.sort(key=lambda r: (r.total_dim, r.dims, r.maps))
+    catalogue = tuple(members + [r for r in indecs if not _no_split_socle(r)])
 
     def label(rep: repkit.Rep) -> str:
         if rep.dims == (1, 0):
@@ -502,28 +486,21 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
             return "I1"
         return f"N{rep.dims[0]}{rep.dims[1]}"
 
-    raw = [label(r) for r in members]
+    raw = [label(r) for r in catalogue]
     labels = tuple(
         nm if raw.count(nm) == 1 else f"{nm}#{raw[:k].count(nm)}"
         for k, nm in enumerate(raw)
     )
-    membership = repkit.Membership.predicate(
-        algebra,
-        _no_split_socle,
-        catalogue=tuple(members),
+    # Hom(S2, -) = 0 is closed under sums and summands, so the class is
+    # additive over its indecomposables; nothing above total dimension
+    # `bound` is ever decomposed, so the catalogue is complete for it
+    membership = repkit.Membership.additive(
+        catalogue,
+        frozenset(range(len(members))),
         labels=labels,
-        complete=False,
         name="kronecker-no-source-socle",
     )
-    pairs = repkit.conflations_up_to(membership, bound)
-    gens = GeneratorTable(
-        labels,
-        tuple(r.total_dim for r in members),
-        tuple(r.dims for r in members),
-    )
-    pres = Presentation(
-        gens, Carrier.all_words(), tuple(pairs), relation_grade_bound=bound
-    )
+    pres = _harvested_presentation(membership, membership.live, bound)
 
     regular_idx = [k for k, r in enumerate(members) if r.dims == (1, 1)]
     part2 = monoid.stratum_classes(pres, 2)

@@ -228,8 +228,8 @@ def check_hereditary_modular() -> tuple[bool, str]:
         return repkit.hom_dim(rep, s2) == 0
 
     E = repkit.Membership.predicate(
-        alg, no_maps_to_s2, catalogue=tuple(reps),
-        labels=tuple(str(m) for m in mods), complete=True,
+        tuple(reps), no_maps_to_s2,
+        labels=tuple(str(m) for m in mods),
         name="hom-vanishing torsion-free class",
     )
     X = typea.interval_rep(typea.IntervalModule(1, 5, q), alg)

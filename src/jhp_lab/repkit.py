@@ -2,9 +2,10 @@
 Brute-force oracle for quiver representations over the two-element field.
 
 Everything here is exhaustive and exact at desk scale: subrepresentations
-are enumerated as echelonized subspace tuples, membership in an
-extension-closed subcategory is decided by decomposing against a complete
-catalogue of indecomposables (or by an explicit predicate), and
+are enumerated as echelonized subspace tuples, every subcategory carries a
+complete catalogue of indecomposables, isomorphism classes are keyed by
+their catalogue summands (read off Hom counts), membership is decided by
+those summands, by dimension vectors or by an explicit predicate, and
 composition series, subobject posets and conflation lists are computed by
 direct search.  The ground field is always F2, which keeps every subspace
 lattice finite.
@@ -416,77 +417,54 @@ def _resolve(
 class Membership:
     """A subcategory of the module category, with a membership test.
 
-    Either additive over a subset of a complete indecomposable catalogue,
-    or cut out by a predicate on dimension vectors or on representations.
-    A complete catalogue, when present, also powers `decompose`.
+    Every membership carries a complete catalogue of the indecomposables
+    it can meet, whose Hom-count matrix is nonsingular.  The subcategory
+    is additive over a subset of the catalogue, or cut out by a predicate
+    on dimension vectors or on representations.  An isomorphism class is
+    keyed by the sorted catalogue indices of its summands.
     """
 
     def __init__(
         self,
-        algebra: PresentedAlgebra,
-        catalogue: tuple[Rep, ...] = (),
+        catalogue: tuple[Rep, ...],
         labels: tuple[str, ...] = (),
         allowed: frozenset[int] | None = None,
         dim_pred=None,
         rep_pred=None,
-        complete: bool = False,
-        name: str = "",
+        name: str = "E",
     ) -> None:
-        self.algebra = algebra
+        self.algebra = catalogue[0].algebra
         self.catalogue = catalogue
         self.labels = labels or tuple(f"C{k}" for k in range(len(catalogue)))
         self.allowed = allowed
         self.dim_pred = dim_pred
         self.rep_pred = rep_pred
-        self.complete = complete
-        self.name = name or "E"
+        self.name = name
         self._hom_inverse: tuple[list[list[int]], list[list[int]], int] | None = None
-        # (representation, iso_key) for each class seen without a complete
-        # catalogue, and the catalogue decomposition of those classified
-        self._iso_memo: list[tuple[Rep, tuple]] = []
-        self._summands: dict[tuple, tuple[int, ...]] = {}
 
     # -- constructors
 
     @classmethod
     def full(cls, catalogue: tuple[Rep, ...], labels=(), name="mod") -> "Membership":
-        algebra = catalogue[0].algebra
-        return cls(algebra, catalogue, labels, complete=True, name=name)
+        return cls(catalogue, labels, name=name)
 
     @classmethod
     def additive(
         cls, catalogue: tuple[Rep, ...], allowed: frozenset[int], labels=(), name="E"
     ) -> "Membership":
-        algebra = catalogue[0].algebra
-        return cls(algebra, catalogue, labels, allowed=allowed, complete=True, name=name)
+        return cls(catalogue, labels, allowed=allowed, name=name)
 
     @classmethod
     def dims_only(
         cls, catalogue: tuple[Rep, ...], dim_pred, labels=(), name="E"
     ) -> "Membership":
-        algebra = catalogue[0].algebra
-        return cls(
-            algebra, catalogue, labels, dim_pred=dim_pred, complete=True, name=name
-        )
+        return cls(catalogue, labels, dim_pred=dim_pred, name=name)
 
     @classmethod
     def predicate(
-        cls,
-        algebra: PresentedAlgebra,
-        rep_pred,
-        catalogue: tuple[Rep, ...] = (),
-        labels=(),
-        complete: bool = False,
-        name="E",
+        cls, catalogue: tuple[Rep, ...], rep_pred, labels=(), name="E"
     ) -> "Membership":
-        return cls(
-            algebra,
-            catalogue,
-            labels,
-            rep_pred=rep_pred,
-            complete=complete,
-            name=name,
-        )
+        return cls(catalogue, labels, rep_pred=rep_pred, name=name)
 
     # -- membership
 
@@ -496,11 +474,6 @@ class Membership:
         so their simple objects are indecomposable; dims-restricted ones
         are not (a simple object may decompose as a module)."""
         return self.rep_pred is None and self.dim_pred is None
-
-    @property
-    def by_fingerprint(self) -> bool:
-        """Can classes of subobjects and quotients be read off Hom counts?"""
-        return self.complete and self.rep_pred is None
 
     @property
     def live(self) -> list[int]:
@@ -560,67 +533,17 @@ class Membership:
 
     def decompose(self, rep: Rep) -> Counter:
         """Multiplicities of the catalogue entries in rep."""
-        if not self.complete:
-            return Counter(self.summands(self.iso_key(rep)))
         N, _, d = self._inverse_hom_matrix()
         h = tuple(hom_dim(c, rep) for c in self.catalogue)
         return _resolve(N, d, h, self.catalogue, rep.dims)
 
-    def summands(self, key: tuple) -> tuple[int, ...]:
-        """Sorted catalogue indices of the summands, with multiplicity, of
-        the class with this iso_key; a raw key is resolved once by iso
-        search (small dims)."""
-        if not _is_raw(key):
-            return key
-        if key not in self._summands:
-            found = self._search_catalogue(self.representative(key))
-            self._summands[key] = tuple(sorted(found.elements()))
-        return self._summands[key]
-
     def representative(self, key: tuple) -> Rep:
-        """A representation in the class with this iso_key: the first one
-        seen for a raw key, else the direct sum of the catalogue entries."""
-        if _is_raw(key):
-            return self._iso_memo[key[1]][0]
+        """The direct sum of the catalogue entries of an iso_key."""
         return direct_sum(self.algebra, [self.catalogue[k] for k in key])
 
-    def _search_catalogue(self, rep: Rep) -> Counter:
-        def candidates(start: int, remaining: tuple[int, ...], acc: Counter):
-            if all(d == 0 for d in remaining):
-                yield Counter(acc)
-                return
-            for k in range(start, len(self.catalogue)):
-                cd = self.catalogue[k].dims
-                if all(c <= r for c, r in zip(cd, remaining)) and any(cd):
-                    acc[k] += 1
-                    rest = tuple(r - c for r, c in zip(remaining, cd))
-                    yield from candidates(k, rest, acc)
-                    acc[k] -= 1
-
-        for cand in candidates(0, rep.dims, Counter()):
-            summed = direct_sum(
-                self.algebra,
-                [self.catalogue[k] for k in sorted(cand.elements())],
-            )
-            if rep_iso(summed, rep):
-                return +cand
-        raise NegativeMultiplicity("representation not built from the catalogue")
-
     def iso_key(self, rep: Rep) -> tuple:
-        """Key of the isomorphism class of rep.
-
-        With a complete catalogue this is the sorted list of its summands.
-        Otherwise rep is compared with the classes seen so far, and the
-        n-th new class gets the key ("raw", n).
-        """
-        if self.complete:
-            return tuple(sorted(self.decompose(rep).elements()))
-        for seen, key in self._iso_memo:
-            if seen.dims == rep.dims and rep_iso(seen, rep):
-                return key
-        key = ("raw", len(self._iso_memo))
-        self._iso_memo.append((rep, key))
-        return key
+        """Key of the isomorphism class of rep: its sorted catalogue summands."""
+        return tuple(sorted(self.decompose(rep).elements()))
 
     def label_of(self, classes: Counter) -> str:
         if not classes:
@@ -630,11 +553,6 @@ class Membership:
             m = classes[k]
             bits.append(self.labels[k] if m == 1 else f"{m}*{self.labels[k]}")
         return "+".join(bits)
-
-
-def _is_raw(key: tuple) -> bool:
-    """Is this an iso_key of a membership without a complete catalogue?"""
-    return bool(key) and key[0] == "raw"
 
 
 class SubquotClassifier:
@@ -648,11 +566,8 @@ class SubquotClassifier:
     """
 
     def __init__(self, E: Membership, X: Rep):
-        if not E.complete:
-            raise InvalidSpec("fingerprint classification needs a complete catalogue")
         self.E = E
         self.X = X
-        nv = X.algebra.vertices
         self.into: list[list[list[gf2.Cols]]] = []
         self.outof: list[list[list[gf2.Cols]]] = []
         for C in E.catalogue:
@@ -729,9 +644,6 @@ class SubquotClassifier:
                 self._NT, self._d, key[0], self.E.catalogue, key[1]
             )
         return self._quot_cache[key]
-
-    def classes(self, S: SubRep) -> tuple[Counter, Counter]:
-        return self.sub_class(S), self.quot_class(S)
 
 
 # ---------------------------------------------------------------------------
@@ -900,12 +812,13 @@ def _admissible(X: Rep, E: Membership, subs):
 def _steps(X: Rep, E: Membership, subs, accept=lambda key: True):
     """(sub_key, quot_key) for each S among `subs` with S and X/S in E.
 
-    Keys are E.iso_key classes.  With a complete catalogue and no
-    representation predicate they are read off Hom fingerprints; otherwise
-    S and X/S are materialized.  A subobject whose key fails accept(key)
-    is skipped before its quotient is classified.
+    Keys are E.iso_key classes, sorted catalogue summands on both
+    branches.  Without a representation predicate they are read off Hom
+    fingerprints; with one, S and X/S are materialized so that the
+    predicate can see them.  A subobject whose key fails accept(key) is
+    skipped before its quotient is classified.
     """
-    if not E.by_fingerprint:
+    if E.rep_pred is not None:
         for S in _admissible(X, E, subs):
             sub_key = E.iso_key(sub_rep(X, S))
             if accept(sub_key):
@@ -1050,9 +963,9 @@ class SeriesAnalyzer:
     subobject, and the rest of any chain is a maximal chain of the
     quotient (the interval above a subobject is isomorphic to the
     subobject poset of the quotient).  Chain sets and simplicity are
-    memoized by E.iso_key class and computed on the membership's
-    representative of the class, so analyzing many objects of one
-    subcategory shares all the work.
+    memoized by E.iso_key class (the sorted catalogue summands) and
+    computed on the direct sum of those summands, so analyzing many
+    objects of one subcategory shares all the work.
     """
 
     def __init__(self, E: Membership, bound: int | None = None):
@@ -1069,7 +982,7 @@ class SeriesAnalyzer:
         return self._simple_memo[key]
 
     def _simple_step(self, key: tuple) -> bool:
-        if self.E.complete and self.E.summand_closed and len(key) != 1:
+        if self.E.summand_closed and len(key) != 1:
             return False  # simple objects are indecomposable here
         return self._simple(key)
 
@@ -1094,7 +1007,7 @@ class SeriesAnalyzer:
         key = self.E.iso_key(X)
         multisets = self._chains(key)
         labels = frozenset(
-            tuple(_label_key(self.E, k) for k in m) for m in multisets
+            tuple(self.E.label_of(Counter(k)) for k in m) for m in multisets
         )
         lengths = frozenset(len(m) for m in multisets)
         return SeriesReport(
@@ -1111,12 +1024,6 @@ class SeriesAnalyzer:
 def series_analysis(X: Rep, E: Membership, bound: int | None = None) -> SeriesReport:
     """All composition series data of X in E, by exhaustive chain search."""
     return SeriesAnalyzer(E, bound).analyze(X)
-
-
-def _label_key(E: Membership, key) -> str:
-    if _is_raw(key):
-        return f"X{key[1]}"
-    return E.label_of(Counter(key))
 
 
 # ---------------------------------------------------------------------------
@@ -1211,7 +1118,7 @@ def conflations_up_to(
             E.algebra, [c for k, c in enumerate(E.catalogue) for _ in range(word[k])]
         )
         for sub_key, quot_key in _steps(Y, E, _proper_subreps(Y, bound)):
-            rhs = _word_of(E, E.summands(sub_key) + E.summands(quot_key))
+            rhs = _word_of(E, sub_key + quot_key)
             if rhs != word:
                 pairs.add((word, rhs))
     return sorted(pairs)
@@ -1277,13 +1184,13 @@ def _splits_over(rep: Rep, parts: list[Rep]) -> bool:
 def torsion_free_classes(E: Membership, check_len: int) -> list[frozenset[int]]:
     """Subsets of the catalogue closed under submodules and extensions.
 
-    E must be the full module category of a complete catalogue.  Both
+    E must be the full module category of its catalogue.  Both
     closure conditions are certified for middles of total length at most
     `check_len`; representation-finite desk-scale algebras are well within
     that range.
     """
-    if not (E.complete and E.allowed is None and E.summand_closed):
-        raise InvalidSpec("need the full module category of a complete catalogue")
+    if not (E.allowed is None and E.summand_closed):
+        raise InvalidSpec("need the full module category of the catalogue")
     bound = dimension_bound()
     if check_len > bound:
         raise DimensionBoundExceeded(f"check length {check_len}", bound)

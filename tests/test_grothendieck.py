@@ -48,10 +48,8 @@ class TestA2Rule:
         S1 = (1, 0, 0)
         S2 = (0, 1, 0)
         P = (0, 0, 1)
-        assert gk.a2_conflation_rule(S1, P, S2)
-        assert not gk.a2_conflation_rule(S2, P, S1)
-        # split extensions are always allowed (t = 0)
-        assert gk.a2_conflation_rule(S1, (1, 1, 0), S2)
+        assert list(gk.a2_middles(S1, S2)) == [P]
+        assert list(gk.a2_middles(S2, S1)) == []
 
     def test_agrees_with_subrepresentation_harvest(self):
         q = parse_orientation("1<2")
@@ -81,11 +79,8 @@ class TestA2Rule:
                 gz = z[0] + z[1] + 2 * z[2]
                 if gx == 0 or gz == 0 or gx + gz > 6:
                     continue
-                for t in range(1, min(x[0], z[1]) + 1):
-                    y = (x[0] + z[0] - t, x[1] + z[1] - t, x[2] + z[2] + t)
-                    ends = tuple(p + q for p, q in zip(x, z))
-                    assert gk.a2_conflation_rule(x, y, z)
-                    predicted.add((y, ends))
+                ends = tuple(p + q for p, q in zip(x, z))
+                predicted.update((y, ends) for y in gk.a2_middles(x, z))
         assert harvested == predicted
 
 
@@ -178,8 +173,9 @@ class TestDimensionMonoid:
 
 
 class TestKronecker:
-    def test_demo(self):
-        demo = gk.kronecker_demo(3)
+    @pytest.mark.parametrize("bound", [3, 4])
+    def test_demo(self, bound):
+        demo = gk.kronecker_demo(bound)
         assert sorted(demo.regular_labels) == ["R01", "R10", "R11"]
         assert demo.regular_classes_distinct
         assert sorted(demo.projective_relations) == [

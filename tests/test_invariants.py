@@ -44,8 +44,7 @@ def test_fingerprint_and_materializing_walks_agree_over_a3():
             E = typea.torsion_free_membership(w, q)
             # E.contains is pure; the cache only skips repeated decompositions
             P = repkit.Membership.predicate(
-                E.algebra, lru_cache(maxsize=None)(E.contains),
-                catalogue=E.catalogue, labels=E.labels, complete=True,
+                E.catalogue, lru_cache(maxsize=None)(E.contains), labels=E.labels
             )
             fast, slow = repkit.SeriesAnalyzer(E), repkit.SeriesAnalyzer(P)
             live = E.live
@@ -117,9 +116,8 @@ def test_fingerprint_classifier_agrees_with_rep_construction():
         Y = repkit.direct_sum(E.algebra, [E.catalogue[k] for k in summands])
         clf = repkit.SubquotClassifier(E, Y)
         for S in repkit.enumerate_subreps(Y):
-            csub, cquot = clf.classes(S)
-            assert csub == E.decompose(repkit.sub_rep(Y, S))
-            assert cquot == E.decompose(repkit.quotient_rep(Y, S))
+            assert clf.sub_class(S) == E.decompose(repkit.sub_rep(Y, S))
+            assert clf.quot_class(S) == E.decompose(repkit.quotient_rep(Y, S))
 
 
 def test_rep_serialization_roundtrip():

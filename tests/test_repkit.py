@@ -279,16 +279,14 @@ class TestSeries:
             assert rep.jhp_holds and rep.unique_length
             assert rep.nu_max == X.total_dim  # classical composition length
 
-    def test_incomplete_catalogue_uses_raw_iso_keys(self):
-        # no catalogue at all: classes are told apart by isomorphism search
-        E = repkit.Membership.predicate(
-            repkit.PresentedAlgebra(1, (), ()), lambda rep: True
-        )
+    def test_predicate_membership_keys_by_catalogue_summands(self):
+        # a predicate membership materializes subobjects and quotients, and
+        # keys their classes by catalogue summands like every membership
+        E = repkit.Membership.predicate((single_vertex(1),), lambda rep: True)
         rep = repkit.series_analysis(single_vertex(2), E)
         (factors,) = rep.factor_multisets
-        assert len(factors) == 2 and factors[0] == factors[1]
-        assert factors[0][0] == "raw"
-        assert rep.factor_labels == frozenset({(f"X{factors[0][1]}",) * 2})
+        assert factors == ((0,), (0,))
+        assert rep.factor_labels == frozenset({("C0", "C0")})
         assert rep.jhp_holds and not rep.is_simple
 
     def test_requires_membership(self):
