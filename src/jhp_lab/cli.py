@@ -5,9 +5,11 @@ Command-line front end.
     jhp-lab analyze --quiver Q --w PERM [--bound N] [--out PATH] [--dot PATH]
     jhp-lab regress [--only NAME] [--spec FILE]
 
-Exit codes: 0 success, 2 I/O failure, 3 violated precondition or bad
-input, 4 resource bound exceeded (the message names the limit), 5 internal
-error (the program's own data are inconsistent).
+Exit codes: 0 success (also after --help), 2 I/O failure, 3 violated
+precondition or bad input, including a usage error such as an unknown
+option, a missing required option or an unknown subcommand, 4 resource
+bound exceeded (the message names the limit), 5 internal error (the
+program's own data are inconsistent).
 
 An explicit `analyze --bound` must be at least the largest generator
 grade and at least the bound where the default harvest stops (the first
@@ -134,8 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error: bad input
+        return EXIT_OK if exc.code == EXIT_OK else EXIT_PRECONDITION
     try:
         return args.func(args)
     except OSError as exc:

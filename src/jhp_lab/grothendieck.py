@@ -1,16 +1,17 @@
 """
 From categories to monoid presentations and decision reports.
 
-A category source names an exact category (a type-A torsion-free class, a
-dimension-vector-restricted module class over the A2 algebra, a split
-semisimple class, a torsion-free class over a Nakayama algebra, an
-explicit presentation, or any repkit membership).  `presentation_of`
-turns it into a graded monoid presentation whose relations come from
-conflations with bounded middle length, and `report` assembles the full
-verdict sheet: simple objects/atoms, completed-group rank and torsion,
-freeness (= the Jordan-Hoelder property), half-factoriality (= unique
-composition-series length), a bounded cancellativity scan, and the
-dimension-vector monoid.
+A category source has one of two shapes.  It carries a repkit
+membership (a type-A torsion-free class, a torsion-free class over a
+Nakayama algebra, or any membership), whose relations `presentation_of`
+harvests from conflations with bounded middle length; or it carries a
+presentation in closed form (a dimension-vector-restricted class over the
+A2 algebra, a split semisimple class, or an explicit presentation), built
+once at construction, with a caveat naming where its relations come
+from.  `report` assembles the full verdict sheet: simple objects/atoms,
+completed-group rank and torsion, freeness (= the Jordan-Hoelder
+property), half-factoriality (= unique composition-series length), a
+bounded cancellativity scan, and the dimension-vector monoid.
 
 Relation lists are truncated at the source's grade bound.  Atom detection
 only needs relations up to the largest generator grade (rewrites preserve
@@ -36,60 +37,57 @@ A2_GEN_DIMVECS = ((1, 0), (0, 1), (1, 1))
 
 @dataclass(eq=False)
 class CategorySource:
-    """A recipe for one exact category plus a relation-harvest bound."""
+    """One exact category: a membership whose relations are harvested from
+    its conflations up to `grade_bound` (adaptively when None), or a
+    presentation in closed form with a caveat naming where its relations
+    come from."""
 
-    kind: str
     label: str
-    grade_bound: int | None
-    object_word: str  # "simple objects" or "atoms" in reports
-    # payload, by kind
-    w: Perm | None = None
-    quiver: Orientation | None = None
-    m: int = 0
-    n: int = 0
-    vectors: tuple = ()
-    kupisch: nakayama.KupischSeries | None = None
-    members: frozenset | None = None
-    presentation_text: str | None = None
     membership: repkit.Membership | None = None
+    grade_bound: int | None = None
+    presentation: Presentation | None = None
+    caveat: str = ""
 
 
 def typea_torsionfree(
     w: Perm, quiver: Orientation, grade_bound: int | None = None
 ) -> CategorySource:
-    typea.class_of(w, quiver)  # validates sortability
     return CategorySource(
-        kind="typea",
         label=f"typeA_torsionfree(w={format_perm(w)}, Q={quiver})",
+        membership=typea.torsion_free_membership(w, quiver),
         grade_bound=grade_bound,
-        object_word="simple objects",
-        w=tuple(w),
-        quiver=quiver,
     )
 
 
 def a2_designated(m: int, n: int, grade_bound: int | None = None) -> CategorySource:
     if (m, n) == (0, 0) or m < 0 or n < 0:
         raise InvalidSpec("need a nonzero nonnegative dimension vector")
+    bound = grade_bound if grade_bound is not None else 4 * (m + n)
     return CategorySource(
-        kind="a2",
         label=f"a2_designated({m},{n})",
-        grade_bound=grade_bound if grade_bound is not None else 4 * (m + n),
-        object_word="simple objects",
-        m=m,
-        n=n,
+        presentation=_a2_presentation(m, n, bound),
+        caveat=f"relations from the closed-form middle-term rule up to grade {bound}",
     )
 
 
 def em_semisimple(vectors, grade_bound: int | None = None) -> CategorySource:
     vectors = tuple(tuple(v) for v in vectors)
     top = max(sum(v) for v in vectors)
+    n = len(vectors[0])
+    gens = GeneratorTable(
+        tuple(f"S{i}" for i in range(1, n + 1)),
+        (1,) * n,
+        tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+    )
     return CategorySource(
-        kind="em",
         label=f"em_semisimple{vectors}",
-        grade_bound=grade_bound if grade_bound is not None else 2 * top,
-        object_word="simple objects",
-        vectors=vectors,
+        presentation=Presentation(
+            gens,
+            Carrier.dimvec_submonoid(vectors),
+            (),
+            relation_grade_bound=grade_bound if grade_bound is not None else 2 * top,
+        ),
+        caveat="split exact: no nontrivial relations",
     )
 
 
@@ -102,12 +100,9 @@ def nakayama_tf(
     if not ok:
         raise InvalidSpec(f"not submodule-closed: {violations}")
     return CategorySource(
-        kind="nakayama",
         label=f"nakayama_tf(kupisch={list(kup.lengths)}, cyclic={kup.cyclic})",
+        membership=nakayama.class_membership(kup, frozenset(members)),
         grade_bound=grade_bound,
-        object_word="simple objects",
-        kupisch=kup,
-        members=frozenset(members),
     )
 
 
@@ -115,13 +110,13 @@ def abstract_source(
     presentation_text: str, label: str = "abstract", grade_bound: int | None = None
 ) -> CategorySource:
     pres = monoid.parse_presentation(presentation_text)
-    top = max(pres.gens.grades, default=1)
+    if grade_bound is None:
+        grade_bound = 2 * max(pres.gens.grades, default=1)
+    pres.relation_grade_bound = grade_bound
     return CategorySource(
-        kind="abstract",
         label=label,
-        grade_bound=grade_bound if grade_bound is not None else 2 * top,
-        object_word="atoms",
-        presentation_text=presentation_text,
+        presentation=pres,
+        caveat="presented monoid: relations taken verbatim from the input",
     )
 
 
@@ -129,11 +124,9 @@ def repkit_backed(
     membership: repkit.Membership, grade_bound: int | None = None
 ) -> CategorySource:
     return CategorySource(
-        kind="repkit",
         label=f"repkit_backed({membership.name})",
-        grade_bound=grade_bound,
-        object_word="simple objects",
         membership=membership,
+        grade_bound=grade_bound,
     )
 
 
@@ -142,7 +135,7 @@ def repkit_backed(
 
 
 def _harvested_presentation(
-    membership: repkit.Membership, live: list[int], grade_bound: int | None
+    membership: repkit.Membership, grade_bound: int | None
 ) -> Presentation:
     """Present the subcategory; harvest up to grade_bound, or adaptively.
 
@@ -154,6 +147,7 @@ def _harvested_presentation(
     the largest generator grade could miss relations among generators, so
     the atoms would not be exact; it is rejected.
     """
+    live = membership.live
     names = tuple(membership.labels[k] for k in live)
     grades = tuple(membership.catalogue[k].total_dim for k in live)
     if grade_bound is not None and grade_bound < max(grades, default=0):
@@ -239,40 +233,13 @@ def _a2_presentation(m: int, n: int, grade_bound: int) -> Presentation:
 def presentation_of(src: CategorySource) -> Presentation:
     """The graded monoid presentation of a category source.
 
-    Generators are the indecomposables (or the designated carrier words);
-    relations are middle-versus-ends pairs of all conflations with middle
-    length at most the source's grade bound.
+    For a membership, generators are its indecomposables and relations
+    are middle-versus-ends pairs of all conflations with middle length at
+    most the source's grade bound; otherwise the source's own presentation.
     """
-    if src.kind == "typea":
-        membership = typea.torsion_free_membership(src.w, src.quiver)
-        return _harvested_presentation(membership, membership.live, src.grade_bound)
-    if src.kind == "nakayama":
-        membership = nakayama.class_membership(src.kupisch, src.members)
-        return _harvested_presentation(membership, membership.live, src.grade_bound)
-    if src.kind == "repkit":
-        return _harvested_presentation(
-            src.membership, src.membership.live, src.grade_bound
-        )
-    if src.kind == "a2":
-        return _a2_presentation(src.m, src.n, src.grade_bound)
-    if src.kind == "em":
-        n = len(src.vectors[0])
-        gens = GeneratorTable(
-            tuple(f"S{i}" for i in range(1, n + 1)),
-            (1,) * n,
-            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-        )
-        return Presentation(
-            gens,
-            Carrier.dimvec_submonoid(src.vectors),
-            (),
-            relation_grade_bound=src.grade_bound,
-        )
-    if src.kind == "abstract":
-        pres = monoid.parse_presentation(src.presentation_text)
-        pres.relation_grade_bound = src.grade_bound
-        return pres
-    raise InvalidSpec(f"unknown source kind {src.kind!r}")
+    if src.membership is not None:
+        return _harvested_presentation(src.membership, src.grade_bound)
+    return src.presentation
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +249,6 @@ def presentation_of(src: CategorySource) -> Presentation:
 @dataclass
 class MonoidReport:
     source: str
-    object_word: str
     generators: list[dict]
     atoms: list[str]
     k0_rank: int
@@ -347,24 +313,20 @@ def report(src: CategorySource) -> MonoidReport:
     bound = pres.relation_grade_bound
     ats = monoid.atoms(pres)
     gc = monoid.group_completion(pres)
-    fv = monoid.is_free(pres)
     hf = monoid.is_half_factorial(pres)
     scan = monoid.cancellativity_scan(pres, bound)
 
     caveats = [
         "all module-level computations are over the two-element field",
-        _harvest_caveat(src, bound),
+        (
+            "relations harvested exhaustively from conflations with middle"
+            f" length <= {bound}"
+            if src.membership is not None
+            else src.caveat
+        ),
         _saturation_caveat(pres),
         f"cancellativity scanned up to grade {bound}",
     ]
-    certificate = None
-    if scan.certificate is not None:
-        a, x, y = scan.certificate
-        certificate = (
-            pres.format_word(a),
-            pres.format_word(x),
-            pres.format_word(y),
-        )
     gens_json = [
         {
             "name": pres.gens.names[k],
@@ -375,38 +337,28 @@ def report(src: CategorySource) -> MonoidReport:
     ]
     return MonoidReport(
         source=src.label,
-        object_word=src.object_word,
         generators=gens_json,
         atoms=[a.pretty(pres) for a in ats],
         k0_rank=gc.rank,
         k0_torsion=list(gc.invariant_factors),
-        jhp=fv.free,
+        jhp=monoid.is_free(pres),
         unique_length=hf.status == "yes",
         cancellative_status=(
             "certificate" if scan.certificate is not None else "none_up_to_bound"
         ),
         cancellative_bound=bound,
-        certificate=certificate,
+        certificate=_certificate_words(pres, scan.certificate),
         dim_monoid=dimension_monoid(src, pres),
         caveats=caveats,
         presentation=pres,
     )
 
 
-def _harvest_caveat(src: CategorySource, bound: int) -> str:
-    if src.kind in ("typea", "nakayama", "repkit"):
-        return (
-            "relations harvested exhaustively from conflations with middle"
-            f" length <= {bound}"
-        )
-    if src.kind == "a2":
-        return (
-            "relations from the closed-form middle-term rule up to grade"
-            f" {bound}"
-        )
-    if src.kind == "em":
-        return "split exact: no nontrivial relations"
-    return "presented monoid: relations taken verbatim from the input"
+def _certificate_words(pres: Presentation, certificate) -> tuple[str, ...] | None:
+    """A cancellativity certificate (a, x, y) as formatted words."""
+    if certificate is None:
+        return None
+    return tuple(pres.format_word(w) for w in certificate)
 
 
 def dimension_monoid(
@@ -500,7 +452,7 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
         labels=labels,
         name="kronecker-no-source-socle",
     )
-    pres = _harvested_presentation(membership, membership.live, bound)
+    pres = _harvested_presentation(membership, bound)
 
     regular_idx = [k for k, r in enumerate(members) if r.dims == (1, 1)]
     part2 = monoid.stratum_classes(pres, 2)
@@ -524,14 +476,6 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
             proj_relations.append((f"S1+{labels[k]}", labels[p2_idx]))
 
     scan = monoid.cancellativity_scan(pres, bound)
-    certificate = None
-    if scan.certificate is not None:
-        a, x, y = scan.certificate
-        certificate = (
-            pres.format_word(a),
-            pres.format_word(x),
-            pres.format_word(y),
-        )
 
     atoms = monoid.atoms(pres)
     s1_word = tuple(int(k == s1_idx) for k in range(len(members)))
@@ -544,7 +488,7 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
         regular_labels=[labels[k] for k in regular_idx],
         regular_classes_distinct=distinct,
         projective_relations=proj_relations,
-        certificate=certificate,
+        certificate=_certificate_words(pres, scan.certificate),
         s1_is_atom=s1_is_atom,
         p2_is_simple=p2_simple,
         presentation=pres,

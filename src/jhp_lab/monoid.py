@@ -572,43 +572,15 @@ def group_completion(P: Presentation) -> GroupCompletionData:
 # freeness and half-factoriality
 
 
-@dataclass(frozen=True)
-class FreeVerdict:
-    free: bool
-    witness: str
-    atom_count: int
-    rank: int
-    torsion: tuple[int, ...]
-
-
-def is_free(P: Presentation) -> FreeVerdict:
+def is_free(P: Presentation) -> bool:
     """Freeness test: free atomic graded monoids are exactly those whose
     completed group is torsion-free with the atoms as a basis."""
     ats = atoms(P)
     gc = group_completion(P)
-    if gc.invariant_factors:
-        return FreeVerdict(
-            False,
-            f"completed group has torsion {list(gc.invariant_factors)}",
-            len(ats),
-            gc.rank,
-            gc.invariant_factors,
-        )
-    if len(set(gc.atom_images)) != len(ats):
-        return FreeVerdict(
-            False, "distinct atoms collide in the completed group",
-            len(ats), gc.rank, gc.invariant_factors,
-        )
-    if len(ats) != gc.rank:
-        return FreeVerdict(
-            False,
-            f"{len(ats)} atoms against completed rank {gc.rank}",
-            len(ats),
-            gc.rank,
-            gc.invariant_factors,
-        )
-    basis = ", ".join(a.pretty(P) for a in ats)
-    return FreeVerdict(True, f"free on {{{basis}}}", len(ats), gc.rank, ())
+    return (
+        not gc.invariant_factors
+        and len(set(gc.atom_images)) == len(ats) == gc.rank
+    )
 
 
 @dataclass(frozen=True)

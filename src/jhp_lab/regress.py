@@ -57,7 +57,7 @@ def check_compex(m: int, n: int) -> tuple[bool, str]:
     if len(ats) != expected_atoms:
         return False, f"expected {expected_atoms} atoms, found {len(ats)}"
     step = m + n
-    for big in range(2, src.grade_bound // step + 1):
+    for big in range(2, pres.relation_grade_bound // step + 1):
         part = monoid.stratum_classes(pres, big * step)
         want = 2 if (m == n) else 1
         if len(part.classes) != want:
@@ -70,7 +70,7 @@ def check_compex(m: int, n: int) -> tuple[bool, str]:
     reps = [a.representative for a in ats]
     a0 = max(reps)  # the all-simple word (zero projective multiplicity)
     an = min(reps)  # the projective power
-    for big in range(1, src.grade_bound // step):
+    for big in range(1, pres.relation_grade_bound // step):
         part = monoid.stratum_classes(pres, big * step)
         nxt = monoid.stratum_classes(pres, (big + 1) * step)
         head = nxt.representative(tuple((big + 1) * x for x in a0))

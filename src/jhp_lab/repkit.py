@@ -814,15 +814,22 @@ def _steps(X: Rep, E: Membership, subs, accept=lambda key: True):
 
     Keys are E.iso_key classes, sorted catalogue summands on both
     branches.  Without a representation predicate they are read off Hom
-    fingerprints; with one, S and X/S are materialized so that the
-    predicate can see them.  A subobject whose key fails accept(key) is
-    skipped before its quotient is classified.
+    fingerprints; with one, S and X/S are materialized once each, and the
+    predicate sees and iso_key classifies the same objects.  A subobject
+    whose key fails accept(key) is skipped before its quotient is
+    classified.
     """
     if E.rep_pred is not None:
-        for S in _admissible(X, E, subs):
-            sub_key = E.iso_key(sub_rep(X, S))
+        for S in subs:
+            sub = sub_rep(X, S)
+            if not E.contains(sub):
+                continue
+            quot = quotient_rep(X, S)
+            if not E.contains(quot):
+                continue
+            sub_key = E.iso_key(sub)
             if accept(sub_key):
-                yield sub_key, E.iso_key(quotient_rep(X, S))
+                yield sub_key, E.iso_key(quot)
         return
     clf = SubquotClassifier(E, X)
     for S in subs:

@@ -207,7 +207,7 @@ def exhaustive_classes():
                         "w": w,
                         "brute_simples": brute_simples,
                         "certified": gk.relation_lattice_certified(pres),
-                        "free": monoid.is_free(pres).free,
+                        "free": monoid.is_free(pres),
                         "completion": monoid.group_completion(pres),
                     }
                 )
@@ -387,7 +387,7 @@ def test_criterion_11_monoid_laws():
             gc = monoid.group_completion(pres)
             if not gc.invariant_factors:
                 assert gc.rank <= len(ats)
-            if monoid.is_free(pres).free:
+            if monoid.is_free(pres):
                 assert monoid.is_half_factorial(pres).status == "yes"
                 bound = max(
                     (pres.relation_grade_bound or 0,

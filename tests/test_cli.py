@@ -69,6 +69,25 @@ class TestTables:
         assert a == b
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--quiver", "1>2<3", "--w", "3412", "--format", "json"),
+            ("analyze", "--quiver", "1>2<3"),
+            ("no-such-command",),
+        ],
+        ids=["unknown-flag", "missing-w", "unknown-subcommand"],
+    )
+    def test_usage_error_exit3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "usage:" in err
+
+    def test_help_exit0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: jhp-lab")
+
+
 class TestAnalyze:
     def test_f3412(self, capsys):
         code, out, _ = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "3412")

@@ -1,8 +1,8 @@
 import pytest
 
 from jhp_lab import grothendieck as gk
-from jhp_lab import monoid, repkit, typea
-from jhp_lab.symgroup import parse_orientation, parse_perm
+from jhp_lab import monoid, nakayama, regress, repkit, typea
+from jhp_lab.symgroup import NotSortable, parse_orientation, parse_perm
 
 Q3 = parse_orientation("1>2<3")
 
@@ -25,7 +25,7 @@ class TestPresentationOf:
         assert pres.relations == ()
         assert pres.carrier.kind == "dimvec"
         # the monoid is free on the diagonal generator
-        assert monoid.is_free(pres).free
+        assert monoid.is_free(pres)
 
     def test_a2_designated_reproduces_designated_relations(self):
         pres = gk.presentation_of(gk.a2_designated(1, 1, grade_bound=8))
@@ -41,6 +41,50 @@ class TestPresentationOf:
         )
         pres = gk.presentation_of(src)
         assert pres.gens.names == ("a",)
+
+
+class TestSourceContracts:
+    def test_typea_rejects_non_sortable_w(self):
+        with pytest.raises(NotSortable):
+            gk.typea_torsionfree(parse_perm("4231"), Q3)
+
+    def test_nakayama_rejects_members_not_submodule_closed(self):
+        kup = nakayama.parse_kupisch("kupisch: 3,2,1")
+        with pytest.raises(gk.InvalidSpec, match="submodule-closed"):
+            gk.nakayama_tf(kup, frozenset({nakayama.Uniserial(3, 3)}))
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (-1, 2), (1, -1)])
+    def test_a2_rejects_zero_or_negative_vector(self, m, n):
+        with pytest.raises(gk.InvalidSpec):
+            gk.a2_designated(m, n)
+
+    def test_abstract_rejects_malformed_line(self):
+        with pytest.raises(monoid.InvalidPresentation):
+            gk.abstract_source("generator a grade one\ncarrier all\n")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gk.typea_torsionfree(parse_perm("3412"), Q3),
+            lambda: gk.a2_designated(1, 1),
+            lambda: gk.em_semisimple([(1, 1)]),
+            lambda: gk.nakayama_tf(
+                nakayama.parse_kupisch("kupisch: 3,2,1"),
+                nakayama.parse_class("1:1, 2:2, 3:3"),
+            ),
+            lambda: gk.abstract_source(
+                regress.LOOP_ALGEBRA_PRESENTATION, grade_bound=6
+            ),
+            lambda: gk.repkit_backed(
+                typea.torsion_free_membership(parse_perm("3412"), Q3)
+            ),
+        ],
+        ids=["typea", "a2", "em", "nakayama", "abstract", "repkit"],
+    )
+    def test_report_twice_gives_equal_json(self, make):
+        # a closed-form source hands every report the same presentation
+        src = make()
+        assert gk.report(src).to_json() == gk.report(src).to_json()
 
 
 class TestA2Rule:
@@ -132,7 +176,7 @@ class TestReports:
 
     def test_loop_algebra_report(self):
         src = gk.abstract_source(
-            __import__("jhp_lab.regress", fromlist=["r"]).LOOP_ALGEBRA_PRESENTATION,
+            regress.LOOP_ALGEBRA_PRESENTATION,
             label="loop",
             grade_bound=6,
         )
@@ -140,7 +184,6 @@ class TestReports:
         assert rep.cancellative_status == "certificate"
         assert rep.certificate == ("M", "M", "P2")
         assert len(rep.atoms) == 4 and not rep.jhp
-        assert rep.object_word == "atoms"
 
     def test_json_schema(self):
         rep = gk.report(gk.typea_torsionfree(parse_perm("3412"), Q3))

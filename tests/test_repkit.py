@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from jhp_lab import gf2, repkit, typea
-from jhp_lab.symgroup import parse_orientation
+from jhp_lab.symgroup import parse_orientation, parse_perm
 
 A2 = parse_orientation("1<2")
 A3 = parse_orientation("1>2<3")
@@ -367,6 +367,21 @@ class TestConflations:
             assert sum(m * l for m, l in zip(u, lengths)) == sum(
                 m * l for m, l in zip(v, lengths)
             )
+
+    def test_predicate_walk_builds_each_subobject_once(self, monkeypatch):
+        # the predicate and the iso key see the same materialized S and X/S
+        E = typea.torsion_free_membership(parse_perm("3412"), A3)
+        P = repkit.Membership.predicate(E.catalogue, E.contains, labels=E.labels)
+        built = Counter()
+        real = repkit.sub_rep
+
+        def counting(X, S):
+            built[X, S] += 1
+            return real(X, S)
+
+        monkeypatch.setattr(repkit, "sub_rep", counting)
+        assert repkit.conflations_up_to(P, 4)
+        assert built and max(built.values()) == 1
 
     def test_split_membership_has_no_relations(self):
         # a semisimple algebra: two vertices, no arrows

@@ -1,0 +1,53 @@
+"""Byte pins on the command-line reports.
+
+The stdout and exit status of `analyze --dot -` (the JSON report followed
+by the truncated Cayley quiver) for every torsion-free class over every
+orientation of A3 and A4, 392 classes, and of `regress`, are compared by
+SHA-256 digest with `report_digests.txt`.  A change that alters the
+reports on purpose regenerates that file from the repository root with
+
+    PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.txt
+"""
+import contextlib
+import hashlib
+import io
+from itertools import product
+from pathlib import Path
+
+from jhp_lab import cli
+from jhp_lab.symgroup import (
+    Orientation,
+    coxeter_element,
+    enumerate_c_sortable,
+    format_perm,
+)
+
+DIGESTS = Path(__file__).with_name("report_digests.txt")
+
+
+def _run(*argv: str) -> str:
+    """'exit digest' for one command line, digesting its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+def report_lines() -> list[str]:
+    lines = []
+    for n in (3, 4):
+        for dirs in product("><", repeat=n - 1):
+            q = Orientation(n, dirs)
+            for w in enumerate_c_sortable(coxeter_element(q)):
+                argv = ("analyze", "--quiver", str(q), "--w", format_perm(w))
+                lines.append(f"{q} {format_perm(w)} {_run(*argv, '--dot', '-')}")
+    lines.append(f"regress {_run('regress')}")
+    return lines
+
+
+def test_reports_match_recorded_digests():
+    assert report_lines() == DIGESTS.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    print("\n".join(report_lines()))
