@@ -146,6 +146,15 @@ def _harvested_presentation(
     capped at twice the largest generator grade.  An explicit bound below
     the largest generator grade could miss relations among generators, so
     the atoms would not be exact; it is rejected.
+
+    A summand-closed membership is harvested from extensions of pairs of
+    its indecomposables, each pair glued once across the bound steps.  For
+    extension-closed E this gives the same congruence: a decomposable end
+    X1 + X2 splits a conflation into one with end X1 and middle Y and one
+    with the shorter middle Y/X1 in E, dually for the other end.  After a
+    glued middle leaves E or its catalogue, the subspace harvest
+    `repkit.conflations_up_to` runs, re-harvesting at each bound step, as
+    it does for predicate and dims-only memberships.
     """
     live = membership.live
     names = tuple(membership.labels[k] for k in live)
@@ -159,9 +168,9 @@ def _harvested_presentation(
     gens = GeneratorTable(names, grades, dimvecs)
     pos = {k: i for i, k in enumerate(live)}
 
-    def build(bound: int) -> Presentation:
+    def build(bound: int, pairs) -> Presentation:
         relations = []
-        for lhs, rhs in repkit.conflations_up_to(membership, bound):
+        for lhs, rhs in pairs:
             u = [0] * len(live)
             v = [0] * len(live)
             for k, mult in enumerate(lhs):
@@ -176,13 +185,27 @@ def _harvested_presentation(
         )
 
     if grade_bound is not None:
-        return build(grade_bound)
-    top = max(grades, default=1)
-    pres = build(top)
-    for bound in range(top, 2 * top + 1):
-        if bound > top:
-            pres = build(bound)
-        if relation_lattice_certified(pres):
+        bounds = (grade_bound,)
+    else:
+        top = max(grades, default=1)
+        bounds = range(top, 2 * top + 1)
+    # extension pairs glued so far (None: subspace harvest), up to `glued`
+    found: set | None = set() if membership.summand_closed else None
+    glued = 0
+    for bound in bounds:
+        if found is not None:
+            new = repkit.extension_relations(membership, bound, above=glued)
+            if new is None:
+                found = None  # a middle left E or its catalogue
+            else:
+                found.update(new)
+                glued = bound
+        if found is None:
+            pairs = repkit.conflations_up_to(membership, bound)
+        else:
+            pairs = sorted(found)
+        pres = build(bound, pairs)
+        if grade_bound is not None or relation_lattice_certified(pres):
             break
     return pres
 

@@ -9,6 +9,17 @@ those summands, by dimension vectors or by an explicit predicate, and
 composition series, subobject posets and conflation lists are computed by
 direct search.  The ground field is always F2, which keeps every subspace
 lattice finite.
+
+Conflation relations come from one of two harvests.  `conflations_up_to`
+walks every subobject of every direct sum of members (any membership; the
+oracle).  `extension_relations` glues pairs of member indecomposables
+(summand-closed memberships).  For extension-closed E it gives the same
+congruence at each middle length: an end X1 + X2 of 0 -> X -> Y -> Z -> 0
+splits it into 0 -> X1 -> Y -> Y/X1 -> 0 and 0 -> X2 -> Y/X1 -> Z -> 0,
+with Y/X1 in E and no longer than Y, and dually for Z = Z1 + Z2, until both
+ends are indecomposable.  That the reduction ends is not shown in general
+(splitting one end can add summands to the other), so the tests check the
+two harvests against each other.
 """
 from __future__ import annotations
 
@@ -1136,6 +1147,83 @@ def _word_of(E: Membership, summands) -> tuple[int, ...]:
     for k in summands:
         word[k] += 1
     return tuple(word)
+
+
+def _gluings(X: Rep, Z: Rep):
+    """Every non-split block-triangular gluing Y of Z by X.
+
+    Y_v is X_v + Z_v with X in the low coordinates, and an arrow s -> t
+    acts by [[X_a, phi_a], [0, Z_a]] for a block phi_a: Z_s -> X_t.  Every
+    extension of Z by X is one of these; phi = 0 (the split X + Z) is
+    skipped, and so is a gluing that breaks a relation of the algebra.
+    """
+    algebra = X.algebra
+    bits = sum(Z.dims[s - 1] * X.dims[t - 1] for _, s, t in algebra.arrows)
+    if 1 << bits > ENUMERATION_CAP:
+        raise EnumerationOverflow(
+            f"too many gluings of one pair to enumerate: 2^{bits}, more than"
+            f" ENUMERATION_CAP = {ENUMERATION_CAP}"
+        )
+    dims = tuple(x + z for x, z in zip(X.dims, Z.dims))
+    for code in range(1, 1 << bits):
+        maps = []
+        rest = code  # the phi blocks, column by column
+        for a, (_, s, t) in enumerate(algebra.arrows):
+            dx = X.dims[t - 1]
+            cols = list(X.maps[a])
+            for c in Z.maps[a]:
+                cols.append(c << dx | rest & ((1 << dx) - 1))
+                rest >>= dx
+            maps.append(tuple(cols))
+        try:
+            yield Rep(algebra, dims, tuple(maps))
+        except InvalidSpec:
+            continue
+
+
+def extension_relations(
+    E: Membership, maxlen: int, above: int = 0
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
+    """Middle-vs-ends relation pairs from extensions of two indecomposables.
+
+    For each ordered pair (X, Z) of live catalogue entries with
+    above < grade(X) + grade(Z) <= maxlen, every non-split gluing Y of Z by
+    X is classified once by Hom counts, and (word of Y, word of X plus
+    word of Z) is kept when the two differ.  Returns the pairs sorted, or
+    None as soon as some Y has a summand outside E, or one outside a
+    catalogue that is complete only up to some dimension: E is then not
+    extension-closed, or not within its catalogue's reach.
+
+    For E summand- and extension-closed these generate, at every middle
+    length s <= maxlen, the congruence of all conflations with middle
+    length at most s (the argument is in the module docstring).  The
+    middle length is bounded by `dimension_bound()` and the gluings of one
+    pair by ENUMERATION_CAP.
+    """
+    if not E.summand_closed:
+        raise InvalidSpec("the extension harvest needs a summand-closed membership")
+    bound = dimension_bound()
+    if maxlen > bound:
+        raise DimensionBoundExceeded(f"middle length {maxlen}", bound)
+    pairs: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    live = E.live
+    for i in live:
+        for k in live:
+            X, Z = E.catalogue[i], E.catalogue[k]
+            if not above < X.total_dim + Z.total_dim <= maxlen:
+                continue
+            ends = _word_of(E, (i, k))
+            for Y in _gluings(X, Z):
+                try:
+                    classes = E.decompose(Y)
+                except NegativeMultiplicity:
+                    return None  # a summand outside the catalogue, so outside E
+                if not E.allows(classes):
+                    return None
+                word = _word_of(E, classes.elements())
+                if word != ends:
+                    pairs.add((word, ends))
+    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,200 @@
+"""The extension harvest against the subspace harvest it replaces.
+
+`repkit.extension_relations` glues pairs of indecomposables;
+`repkit.conflations_up_to` enumerates every subobject of every direct sum
+and stays the oracle.  Forcing `extension_relations` to report "not
+extension-closed" makes `_harvested_presentation` run the subspace
+harvest through the same adaptive loop.
+"""
+from collections import Counter
+from functools import lru_cache
+from itertools import product
+from operator import add, sub
+
+import pytest
+
+from jhp_lab import grothendieck as gk
+from jhp_lab import monoid, nakayama, repkit, typea
+from jhp_lab.symgroup import (
+    Orientation,
+    coxeter_element,
+    enumerate_c_sortable,
+    parse_orientation,
+    parse_perm,
+)
+
+
+def subspace_presentation(monkeypatch, E, grade_bound=None):
+    with monkeypatch.context() as m:
+        m.setattr(repkit, "extension_relations", lambda *args, **kw: None)
+        return gk._harvested_presentation(E, grade_bound)
+
+
+def shape(pres):
+    return pres.gens, pres.relations, pres.relation_grade_bound
+
+
+def verdicts(pres):
+    """Everything a report reads off a presentation, strata grade by grade."""
+    gc = monoid.group_completion(pres)
+    return (
+        pres.relation_grade_bound,
+        [
+            set(monoid.stratum_classes(pres, s).classes)
+            for s in range(1, pres.relation_grade_bound + 1)
+        ],
+        [a.representative for a in monoid.atoms(pres)],
+        gc.rank,
+        gc.invariant_factors,
+        monoid.is_free(pres),
+        monoid.is_half_factorial(pres).status,
+    )
+
+
+def oracle_memberships():
+    for n in (3, 4):
+        for dirs in product("><", repeat=n - 1):
+            q = Orientation(n, dirs)
+            for w in enumerate_c_sortable(coxeter_element(q)):
+                yield typea.torsion_free_membership(w, q)
+    q = parse_orientation("1<2>3<4>5")
+    for w in enumerate_c_sortable(coxeter_element(q)):
+        yield typea.torsion_free_membership(w, q)
+    for text in ("1>2>3>4>5", "1<2<3<4<5", "1>2<3>4<5", "1<2<3>4>5"):
+        yield typea.torsion_free_membership(
+            parse_perm("654321"), parse_orientation(text)
+        )
+    for kup_text in ("kupisch: 3,2,1", "kupisch-cyclic: 2,2"):
+        kup = nakayama.parse_kupisch(kup_text)
+        _, mods, _ = nakayama.catalogue(kup)
+        full = nakayama.full_membership(kup)
+        for S in repkit.torsion_free_classes(full, check_len=5):
+            yield nakayama.class_membership(kup, frozenset(mods[i] for i in S))
+    # self-extensions: a loop x with x^2 = 0 glues S by S into the projective
+    yield nakayama.full_membership(nakayama.parse_kupisch("kupisch-cyclic: 2"))
+
+
+def test_extension_harvest_matches_subspace_oracle(monkeypatch):
+    def no_fallback(*args, **kw):
+        raise AssertionError("the extension harvest fell back")
+
+    count = 0
+    for E in oracle_memberships():
+        with monkeypatch.context() as m:
+            m.setattr(repkit, "conflations_up_to", no_fallback)
+            got = verdicts(gk._harvested_presentation(E, None))
+        want = verdicts(subspace_presentation(monkeypatch, E))
+        assert got == want, E.name
+        count += 1
+    # A3/A4, one A5 orientation, four A5 w0 classes, 14 + 7 Nakayama
+    # classes and mod k[x]/(x^2)
+    assert count == 392 + 131 + 4 + 21 + 1
+
+
+def test_adaptive_loop_glues_each_pair_once(monkeypatch):
+    # F(34512) over 1>2<3<4 is not certified at bound 4 and stops at 5
+    E = typea.torsion_free_membership(parse_perm("34512"), parse_orientation("1>2<3<4"))
+    index = {rep: k for k, rep in enumerate(E.catalogue)}
+    glued = Counter()
+    classified = Counter()
+    real_gluings = repkit._gluings
+    real_decompose = E.decompose
+
+    def counting_gluings(X, Z):
+        glued[index[X], index[Z]] += 1
+        return real_gluings(X, Z)
+
+    def counting_decompose(Y):
+        classified[Y] += 1
+        return real_decompose(Y)
+
+    monkeypatch.setattr(repkit, "_gluings", counting_gluings)
+    monkeypatch.setattr(E, "decompose", counting_decompose)
+    pres = gk._harvested_presentation(E, None)
+    assert pres.relation_grade_bound == 5
+    grade = {k: E.catalogue[k].total_dim for k in E.live}
+    assert set(glued) == {
+        (i, k) for i in E.live for k in E.live if grade[i] + grade[k] <= 5
+    }
+    assert max(glued.values()) == 1
+    assert classified and max(classified.values()) == 1
+    # the incremental relations are those of one harvest at the final bound
+    monkeypatch.undo()
+    assert shape(pres) == shape(gk._harvested_presentation(E, 5))
+
+
+def extension_middles(reps, full):
+    """Brute force over all representations of each dimension vector.
+
+    Maps each pair (i, k) to the summand sets of every Y with a
+    subobject isomorphic to reps[i] and the quotient isomorphic to reps[k].
+    """
+    decompose = lru_cache(maxsize=None)(full.decompose)
+    ends = {r.dims for r in reps}
+    out: dict = {}
+    for dims in {tuple(map(add, X.dims, Z.dims)) for X in reps for Z in reps}:
+        for Y in repkit.all_reps(reps[0].algebra, dims):
+            for U in repkit.enumerate_subreps(Y):
+                if U.dims() not in ends or tuple(map(sub, dims, U.dims())) not in ends:
+                    continue
+                low = decompose(repkit.sub_rep(Y, U))
+                high = decompose(repkit.quotient_rep(Y, U))
+                if sum(low.values()) == sum(high.values()) == 1:
+                    out.setdefault((*low, *high), set()).add(frozenset(decompose(Y)))
+    return out
+
+
+@pytest.mark.parametrize("text", ["1>2>3", "1>2<3", "1<2>3", "1<2<3"])
+def test_closure_detected_on_every_a3_subset(monkeypatch, text):
+    mods, reps = typea.interval_catalogue(parse_orientation(text))
+    labels = tuple(str(m) for m in mods)
+    middles = extension_middles(reps, repkit.Membership.full(tuple(reps)))
+    closed_count = 0
+    for mask in range(1, 1 << len(reps)):
+        allowed = frozenset(k for k in range(len(reps)) if mask >> k & 1)
+        E = repkit.Membership.additive(tuple(reps), allowed, labels=labels)
+        table = repkit.extension_relations(E, 6)
+        closed = all(
+            summands <= allowed
+            for (i, k), found in middles.items()
+            if i in allowed and k in allowed
+            for summands in found
+        )
+        assert (table is not None) == closed, sorted(allowed)
+        closed_count += closed
+        if table is None:
+            # the adaptive loop falls back once it meets an escaping middle;
+            # one that escapes above the stop bound leaves the congruence
+            # unchanged up to it
+            pres = gk._harvested_presentation(E, None)
+            oracle = subspace_presentation(monkeypatch, E)
+            assert verdicts(pres) == verdicts(oracle), sorted(allowed)
+            bound = pres.relation_grade_bound
+            if repkit.extension_relations(E, bound) is None:
+                assert shape(pres) == shape(oracle), sorted(allowed)
+    assert 0 < closed_count < 63
+
+
+def test_predicate_membership_is_refused():
+    E = typea.torsion_free_membership(parse_perm("3412"), parse_orientation("1>2<3"))
+    P = repkit.Membership.predicate(E.catalogue, E.contains, labels=E.labels)
+    with pytest.raises(repkit.InvalidSpec):
+        repkit.extension_relations(P, 4)
+
+
+def test_middle_beyond_a_bounded_catalogue_falls_back(monkeypatch):
+    # the Kronecker class of the demo, catalogued up to total dimension 3:
+    # gluings of length 4 leave the catalogue, so bound 4 is harvested from
+    # subspaces, as before the extension harvest
+    algebra = gk.kronecker_algebra()
+    indecs = repkit.brute_force_catalogue(algebra, (3, 3), 3)
+    members = [r for r in indecs if gk._no_split_socle(r)]
+    catalogue = tuple(members + [r for r in indecs if not gk._no_split_socle(r)])
+    E = repkit.Membership.additive(catalogue, frozenset(range(len(members))))
+    assert repkit.extension_relations(E, 3) is not None
+    assert repkit.extension_relations(E, 4) is None
+    for grade_bound in (None, 3, 4):
+        pres = gk._harvested_presentation(E, grade_bound)
+        oracle = subspace_presentation(monkeypatch, E, grade_bound)
+        assert shape(pres) == shape(oracle), grade_bound
+    assert pres.relation_grade_bound == 4
