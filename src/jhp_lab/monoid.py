@@ -10,9 +10,17 @@ stratum by stratum with a union-find: two words are identified exactly
 when a chain of single-relation rewrites w -> w - u + v connects them,
 where the leftover w - u must itself be a carrier word.
 
-Group completion, freeness, half-factoriality and bounded cancellativity
-scanning are all decided from this exact stratum data; the Smith normal
-form used for group completions is computed here over plain Python ints.
+Group completion, freeness and bounded cancellativity scanning are
+decided from this exact stratum data; the Smith normal form used for group
+completions is computed here over plain Python ints.  Half-factoriality is
+decided on K0 tensored with Q: a functional that is 1 on every atom and 0
+on every relation difference vanishes on the relation lattice, so it
+factors through the free coordinates of the group completion, and only
+the images of the atoms there enter the linear system.
+
+Inside a stratum computation a word is handled as one packed int, a
+mixed-radix number with one digit per generator (see `stratum_classes`),
+so that adding words is adding ints.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 WORD_CAP = 500_000
 
@@ -57,7 +66,7 @@ class GeneratorTable:
         return len(self.names)
 
     def grade(self, word: Word) -> int:
-        return sum(m * g for m, g in zip(word, self.grades))
+        return sum(map(mul, word, self.grades))
 
     def dimvec(self, word: Word) -> tuple[int, ...] | None:
         if self.dimvecs is None:
@@ -147,18 +156,31 @@ class Presentation:
         self.relations = tuple(
             (tuple(u), tuple(v)) for u, v in relations if tuple(u) != tuple(v)
         )
+        grades = []
         for u, v in self.relations:
-            if gens.grade(u) != gens.grade(v):
+            du = gens.grade(u)
+            if du != gens.grade(v):
                 raise InvalidPresentation(
                     f"relation {gens.format_word(u)} = {gens.format_word(v)} "
                     "does not preserve the grading"
                 )
             if not (carrier.contains(gens, u) and carrier.contains(gens, v)):
                 raise InvalidPresentation("relation words must lie in the carrier")
+            grades.append(du)
+        self._relation_grades = tuple(grades)
         # grade up to which the relation list is complete (caller's contract)
         self.relation_grade_bound = relation_grade_bound
         self._strata: dict[int, StratumPartition] = {}
         self._words: dict[int, tuple[Word, ...]] = {}
+        # packed codes, valid for words of grade <= _code_grade (see
+        # `_pack_up_to`): place values, the codes of the words of each
+        # grade, (grade, code u, code v) per relation, and code -> class
+        # number for each stratum in _strata
+        self._code_grade = -1
+        self._places: tuple[int, ...] = ()
+        self._codes: dict[int, list[int]] = {}
+        self._relation_codes: tuple[tuple[int, int, int], ...] = ()
+        self._class_numbers: dict[int, dict[int, int]] = {}
         self._generating_words: tuple[Word, ...] | None = None
         self._differences: tuple[tuple[int, ...], ...] | None = None
         self._atoms: tuple[Atom, ...] | None = None
@@ -179,9 +201,13 @@ class Presentation:
                         f"too many words at grade {s}: more than"
                         f" WORD_CAP = {WORD_CAP}"
                     )
-                if k == n:
-                    if budget == 0:
+                if k == n - 1:
+                    # the last multiplicity is forced by the budget
+                    m, rest = divmod(budget, grades[k])
+                    if not rest:
+                        acc[k] = m
                         w = tuple(acc)
+                        acc[k] = 0
                         if self.carrier.contains(self.gens, w):
                             out.append(w)
                     return
@@ -190,8 +216,12 @@ class Presentation:
                     walk(k + 1, budget - m * grades[k])
                 acc[k] = 0
 
-            walk(0, s)
-            self._words[s] = tuple(sorted(out))
+            if n:
+                walk(0, s)
+            elif s == 0:
+                out.append(())
+            # multiplicities rise at every level, so `out` is sorted
+            self._words[s] = tuple(out)
         return self._words[s]
 
     def format_word(self, word: Word) -> str:
@@ -211,6 +241,45 @@ class StratumPartition:
         return min(self.class_of(word))
 
 
+def _pack_up_to(P: Presentation, s: int) -> None:
+    """Make the packed codes of `P` valid for every word of grade <= s.
+
+    The code grade t (see `stratum_classes`) is chosen once per
+    presentation, at the relation grade bound or the first larger grade
+    asked for, and chosen again only when a caller asks for a grade above
+    it; that drops every code and every stratum packed for the old t.
+    """
+    if s <= P._code_grade:
+        return
+    t = max(s, P.relation_grade_bound or 0)
+    places = []
+    place = 1
+    for g in P.gens.grades:
+        places.append(place)
+        place *= t // g + 1
+    P._places = tuple(places)
+    P._code_grade = t
+    P._codes.clear()
+    P._class_numbers.clear()
+    P._strata.clear()
+    P._relation_codes = tuple(
+        (du, _pack(P, u), _pack(P, v))
+        for du, (u, v) in zip(P._relation_grades, P.relations)
+    )
+
+
+def _pack(P: Presentation, word: Word) -> int:
+    return sum(map(mul, word, P._places))
+
+
+def _word_codes(P: Presentation, s: int) -> list[int]:
+    """Codes of `words_of_grade(s)`, in that order; needs `_pack_up_to(P, s)`."""
+    codes = P._codes.get(s)
+    if codes is None:
+        codes = P._codes[s] = [_pack(P, w) for w in P.words_of_grade(s)]
+    return codes
+
+
 def stratum_classes(P: Presentation, s: int) -> StratumPartition:
     """Congruence classes of the carrier words of grade s.
 
@@ -226,11 +295,19 @@ def stratum_classes(P: Presentation, s: int) -> StratumPartition:
     the leftover w - u is a carrier word exactly when r is, and r + u,
     r + v are carrier words because the carrier is closed under addition
     and relation words lie in it.  The work is one union per translate.
+
+    Translates are formed on packed codes: a word w is the int
+    sum_k w_k * place_k with mixed radices t // grade_k + 1 for a code
+    grade t >= s, so a word of grade <= t has every digit below its radix
+    and code(r + u) = code(r) + code(u) without carries.  A translate is
+    one int addition and one dict lookup.
     """
     if s in P._strata:
         return P._strata[s]
+    _pack_up_to(P, s)
     words = P.words_of_grade(s)
-    idx = {w: k for k, w in enumerate(words)}
+    codes = _word_codes(P, s)
+    position = {c: k for k, c in enumerate(codes)}
     parent = list(range(len(words)))
 
     def find(x: int) -> int:
@@ -239,28 +316,30 @@ def stratum_classes(P: Presentation, s: int) -> StratumPartition:
             x = parent[x]
         return x
 
-    for u, v in P.relations:
-        du = P.gens.grade(u)
+    for du, cu, cv in P._relation_codes:
         if du > s:
             continue
-        for r in P.words_of_grade(s - du):
-            rx = find(idx[tuple(a + b for a, b in zip(r, u))])
-            ry = find(idx[tuple(a + b for a, b in zip(r, v))])
+        for r in _word_codes(P, s - du):
+            rx = find(position[r + cu])
+            ry = find(position[r + cv])
             if rx != ry:
                 parent[ry] = rx
 
-    groups: dict[int, list[Word]] = {}
-    for k, w in enumerate(words):
-        groups.setdefault(find(k), []).append(w)
-    classes = tuple(
-        frozenset(g) for g in sorted(groups.values(), key=lambda g: min(g))
+    # words are sorted, so numbering roots by first occurrence numbers the
+    # classes in the order of their least words
+    roots = [find(k) for k in range(len(words))]
+    number: dict[int, int] = {}
+    for root in roots:
+        number.setdefault(root, len(number))
+    class_of = [number[root] for root in roots]
+    members: list[list[Word]] = [[] for _ in number]
+    for w, k in zip(words, class_of):
+        members[k].append(w)
+    part = StratumPartition(
+        s, tuple(map(frozenset, members)), dict(zip(words, class_of))
     )
-    index = {}
-    for k, cls in enumerate(classes):
-        for w in cls:
-            index[w] = k
-    part = StratumPartition(s, classes, index)
     P._strata[s] = part
+    P._class_numbers[s] = dict(zip(codes, class_of))
     return part
 
 
@@ -497,30 +576,39 @@ class GroupCompletionData:
     rank: int
     invariant_factors: tuple[int, ...]
     atom_images: tuple[tuple[int, ...], ...]
-    _gen_snf: tuple  # Smith form of the carrier generator rows
+    _gen_snf: tuple | None  # Smith form of the carrier generator rows
     _V: tuple[tuple[int, ...], ...]
     _diag: tuple[int, ...]
 
     def image_of(self, word: Word) -> tuple[int, ...]:
         """Canonical coordinates of a carrier word in the completed group."""
-        return _image(self._gen_snf, self._V, self._diag, word)
+        return _image(_coordinates(self._gen_snf, self._V, word), self._diag)
+
+    def free_coordinates(self, word: Word) -> list[int]:
+        """The coordinates of a carrier word in Q tensor the completed
+        group: its image with the torsion coordinates dropped."""
+        c = _coordinates(self._gen_snf, self._V, word)
+        return [x for x, d in zip(c, self._diag) if d == 0]
 
 
-def _image(gen_snf, V, diag, word: Word) -> tuple[int, ...]:
-    x = integer_solve(gen_snf, list(word))
-    if x is None:
-        raise InvalidPresentation("word does not lie in the carrier lattice")
-    p = len(diag)
-    c = [sum(x[i] * V[i][j] for i in range(p)) for j in range(p)]
-    out = []
-    for j in range(p):
-        d = diag[j]
-        if d == 0:
-            out.append(c[j])
-        elif d > 1:
-            out.append(c[j] % d)
-        # d == 1: coordinate dies
-    return tuple(out)
+def _coordinates(gen_snf, V, word: Word) -> list[int]:
+    """x . V for the x with x . (carrier generator rows) = word.
+
+    `gen_snf` is None on an `all` carrier, whose generator rows are the
+    unit words: then x is the word, and a unit word reads a row of V.
+    """
+    if gen_snf is None:
+        x = word
+    else:
+        x = integer_solve(gen_snf, list(word))
+        if x is None:
+            raise InvalidPresentation("word does not lie in the carrier lattice")
+    return _mat_vec(V, x)
+
+
+def _image(c: list[int], diag) -> tuple[int, ...]:
+    # free coordinates as they are, torsion ones reduced, d == 1 ones dropped
+    return tuple(x if d == 0 else x % d for x, d in zip(c, diag) if d != 1)
 
 
 def group_completion(P: Presentation) -> GroupCompletionData:
@@ -533,21 +621,27 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     the Smith normal form, so rank and invariant factors depend on them
     alone; atom images are coordinates in a basis of the group that may
     change with the difference list, but which atoms collide does not.
+    On an `all` carrier the generators are the unit words, so each
+    difference is its own row and there are no syzygies.
     """
     if P._completion is not None:
         return P._completion
     gens_words = generating_words(P)
     p = len(gens_words)
-    gen_snf = smith_normal_form([list(w) for w in gens_words])
-    rel_rows = []
-    for diff in relation_differences(P):
-        x = integer_solve(gen_snf, list(diff))
-        if x is None:
-            raise InvalidPresentation(
-                "relation difference escapes the carrier lattice"
-            )
-        rel_rows.append(x)
-    rel_rows.extend(integer_kernel(gen_snf))
+    if P.carrier.kind == "all":
+        gen_snf = None
+        rel_rows = [list(diff) for diff in relation_differences(P)]
+    else:
+        gen_snf = smith_normal_form([list(w) for w in gens_words])
+        rel_rows = []
+        for diff in relation_differences(P):
+            x = integer_solve(gen_snf, list(diff))
+            if x is None:
+                raise InvalidPresentation(
+                    "relation difference escapes the carrier lattice"
+                )
+            rel_rows.append(x)
+        rel_rows.extend(integer_kernel(gen_snf))
     if not rel_rows:
         rel_rows = [[0] * p]
     D, U, V = smith_normal_form(rel_rows)
@@ -556,7 +650,9 @@ def group_completion(P: Presentation) -> GroupCompletionData:
         d = D[j][j] if j < len(rel_rows) and j < p else 0
         diag.append(abs(d))
     V = tuple(tuple(row) for row in V)
-    images = tuple(_image(gen_snf, V, diag, a.representative) for a in atoms(P))
+    images = tuple(
+        _image(_coordinates(gen_snf, V, a.representative), diag) for a in atoms(P)
+    )
     P._completion = GroupCompletionData(
         rank=sum(1 for d in diag if d == 0),
         invariant_factors=tuple(d for d in diag if d > 1),
@@ -624,29 +720,29 @@ def is_half_factorial(P: Presentation) -> HalfFactorialVerdict:
     """Do all factorizations of a class into atoms have one length?
 
     Exactly when some additive functional is 1 on every atom and 0 on
-    every relation difference u - v; the linear system is solved over the
-    rationals.  Its solutions agree on the carrier: a generating word w
-    is congruent to a sum of k >= 1 atoms (the monoid is graded and every
-    irreducible word of grade at most that of w is found), so w minus
-    that sum lies in the span of the differences and every solution is k
-    on w.  The verdict is "yes", with the values of the particular
-    solution on the generating words, when the system is consistent, and
-    "no" otherwise.
+    every relation difference u - v.  Such a functional is 0 on the whole
+    relation lattice, so it is a functional on Q tensor K0, that is on
+    the free coordinates of `group_completion` (torsion dies over Q).  The
+    system solved over the rationals is therefore phi . f(a) = 1 for each
+    atom a, with f the free coordinates: #atoms equations in rank K0
+    unknowns.
 
-    The relations enter only through their distinct differences u - v.
-    Gauss-Jordan elimination reaches the reduced row echelon form of the
-    row space, so the verdict and the assignment depend on that set alone.
+    Its solutions agree on the carrier: a generating word w is congruent
+    to a sum of k >= 1 atoms (the monoid is graded and every irreducible
+    word of grade at most that of w is found), so f(w) is the sum of
+    their f(a) and every solution is k on w.  The verdict is "yes", with
+    the values phi . f(w) of a particular solution on the generating
+    words, when the system is consistent, and "no" otherwise.
     """
-    rows = [[Fraction(x) for x in diff] for diff in relation_differences(P)]
-    rhs = [Fraction(0)] * len(rows)
-    for a in atoms(P):
-        rows.append([Fraction(x) for x in a.representative])
-        rhs.append(Fraction(1))
-    part = _rational_solve(rows, rhs) if rows else [Fraction(0)] * len(P.gens)
-    if part is None:
+    gc = group_completion(P)
+    rows = [
+        list(map(Fraction, gc.free_coordinates(a.representative))) for a in atoms(P)
+    ]
+    phi = _rational_solve(rows, [Fraction(1)] * len(rows))
+    if phi is None:
         return HalfFactorialVerdict("no")
     assignment = {
-        P.format_word(w): int(sum(m * part[k] for k, m in enumerate(w)))
+        P.format_word(w): int(sum(map(mul, gc.free_coordinates(w), phi)))
         for w in generating_words(P)
     }
     return HalfFactorialVerdict("yes", assignment)
@@ -669,24 +765,29 @@ def cancellativity_scan(P: Presentation, bound: int) -> CancellativityScan:
     returned is the first in this order: the least grade g of x, then the
     least pair (x, y) of grade-g classes in class order, then the first
     grade h of a and the first a-class of that grade.  For each (h, a) the
-    grade-g classes are bucketed by the class of a + x, one lookup per
-    (x, h, a); the least pair in a bucket is its first two members.
+    grade-g classes are bucketed by the class of a + x, one packed-code
+    addition and lookup per (x, h, a); the least pair in a bucket is its
+    first two members.
     """
+    _pack_up_to(P, bound)
     grades = [s for s in range(1, bound + 1) if P.words_of_grade(s)]
-    parts = {s: stratum_classes(P, s) for s in grades}
-    reps = {s: [min(c) for c in parts[s].classes] for s in grades}
+    reps = {s: [min(c) for c in stratum_classes(P, s).classes] for s in grades}
+    codes = {s: [_pack(P, w) for w in reps[s]] for s in grades}
     for g in grades:
-        if len(reps[g]) < 2:
+        xs = codes[g]
+        if len(xs) < 2:
             continue
         best = None  # ((xi, yi), a): least colliding pair and its first a
         for h in grades:
             if g + h > bound:
                 continue
-            target = parts[g + h].index
-            for a in reps[h]:
+            target = P._class_numbers[g + h]
+            for a, ca in zip(reps[h], codes[h]):
+                hits = [target[ca + cx] for cx in xs]
+                if len(set(hits)) == len(hits):
+                    continue
                 first: dict[int, int] = {}  # target class -> least xi in it
-                for xi, x in enumerate(reps[g]):
-                    t = target[tuple(p + q for p, q in zip(a, x))]
+                for xi, t in enumerate(hits):
                     if t not in first:
                         first[t] = xi
                     elif best is None or (first[t], xi) < best[0]:
@@ -731,6 +832,9 @@ def cayley_quiver(P: Presentation, bound: int) -> str:
 
 # ---------------------------------------------------------------------------
 # presentation files
+
+
+_TERM = re.compile(r"(?:(\d+)\s*\*\s*)?(\S+)")
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -793,7 +897,7 @@ def parse_presentation(text: str) -> Presentation:
             term = term.strip()
             if not term:
                 raise InvalidPresentation(f"empty term in {side!r}")
-            m = re.fullmatch(r"(?:(\d+)\s*\*\s*)?(\S+)", term)
+            m = _TERM.fullmatch(term)
             if not m or m.group(2) not in index:
                 raise InvalidPresentation(f"bad term {term!r}")
             word[index[m.group(2)]] += int(m.group(1) or 1)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 from jhp_lab import grothendieck as gk
 from jhp_lab import monoid, nakayama, regress, repkit, typea
@@ -140,7 +141,12 @@ def test_nakayama_class_roundtrip():
 
 
 def test_environment_variable_overrides_dimension_bound():
+    # the subprocesses import the package from this checkout's src
+    src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, JHP_LAB_BOUND="4")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-c",
          "from jhp_lab import repkit; print(repkit.dimension_bound())"],

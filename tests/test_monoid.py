@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from jhp_lab import monoid
+from jhp_lab import grothendieck, monoid
 from jhp_lab.monoid import (
     Carrier,
     GeneratorTable,
@@ -24,6 +24,12 @@ from jhp_lab.monoid import (
     parse_presentation,
     smith_normal_form,
     stratum_classes,
+)
+from jhp_lab.symgroup import (
+    coxeter_element,
+    enumerate_c_sortable,
+    parse_orientation,
+    parse_perm,
 )
 
 A2_TEXT = """
@@ -293,6 +299,92 @@ class TestHalfFactorial:
         }
         assert is_half_factorial(pres).status == "no"
 
+    def test_torsion_coordinates_do_not_count(self):
+        # 2a = 4b: K0 is Z + Z/2, and the lengths 2 and 4 differ; a
+        # functional on the torsion coordinate would wrongly say "yes"
+        pres = parse_presentation(
+            "generator a grade 2\ngenerator b grade 1\ncarrier all\n"
+            "relation a + a = 4*b"
+        )
+        assert group_completion(pres).invariant_factors == (2,)
+        assert is_half_factorial(pres).status == "no"
+        assert oracle_half_factorial(pres) == ("no", None)
+
+    def test_torsion_with_equal_lengths(self):
+        pres = parse_presentation(
+            "generator a grade 1\ngenerator b grade 1\ncarrier all\n"
+            "relation a + a = b + b"
+        )
+        verdict = is_half_factorial(pres)
+        assert (verdict.status, verdict.assignment) == ("yes", {"a": 1, "b": 1})
+        assert oracle_half_factorial(pres) == ("yes", {"a": 1, "b": 1})
+
+    @pytest.mark.parametrize("orientation", ["1<2>3<4", "1>2>3>4"])
+    def test_every_a4_class_against_oracle(self, orientation):
+        q = parse_orientation(orientation)
+        for w in enumerate_c_sortable(coxeter_element(q)):
+            pres = grothendieck.presentation_of(grothendieck.typea_torsionfree(w, q))
+            verdict = is_half_factorial(pres)
+            assert (verdict.status, verdict.assignment) == oracle_half_factorial(pres)
+
+    def test_a5_w0_against_oracle(self):
+        q = parse_orientation("1<2>3<4>5")
+        pres = grothendieck.presentation_of(
+            grothendieck.typea_torsionfree(parse_perm("654321"), q)
+        )
+        verdict = is_half_factorial(pres)
+        assert verdict.status == "yes"
+        assert (verdict.status, verdict.assignment) == oracle_half_factorial(pres)
+
+
+def tight_presentation(relation_grade_bound=None):
+    """Generator grades 1, 2, 3 and relations with words such as 7*g0,
+    whose digit is the largest the packed code of grade 7 allows.  The
+    common summand g0 of the third relation makes the monoid
+    non-cancellative."""
+    gens = GeneratorTable(("g0", "g1", "g2"), (1, 2, 3))
+    relations = (
+        ((7, 0, 0), (1, 0, 2)),
+        ((0, 3, 0), (0, 0, 2)),
+        ((1, 2, 0), (2, 0, 1)),
+    )
+    return Presentation(gens, Carrier.all_words(), relations, relation_grade_bound)
+
+
+class TestPackedCodes:
+    def assert_strata(self, P, grades):
+        for s in grades:
+            part = stratum_classes(P, s)
+            assert (part.classes, part.index) == oracle_stratum_classes(P, s), s
+
+    def assert_scans(self, P, bounds):
+        for bound in bounds:
+            assert cancellativity_scan(P, bound).certificate == (
+                oracle_cancellativity_scan(P, bound)
+            ), bound
+
+    def test_each_grade_on_a_fresh_presentation(self):
+        for s in range(9):
+            self.assert_strata(tight_presentation(), [s])
+            self.assert_scans(tight_presentation(), [s])
+
+    @pytest.mark.parametrize("relation_grade_bound", [None, 2])
+    def test_rising_grades_after_a_lower_call(self, relation_grade_bound):
+        # codes first packed for a lower grade must not serve a higher one:
+        # packed for grade 1, g1 and 2*g0 would share a code at grade 2
+        for first in range(1, 8):
+            P = tight_presentation(relation_grade_bound)
+            stratum_classes(P, first)
+            self.assert_strata(P, range(9))
+            self.assert_scans(P, range(1, 9))
+            Q = tight_presentation(relation_grade_bound)
+            cancellativity_scan(Q, first)
+            self.assert_scans(Q, range(1, 9))
+            self.assert_strata(Q, range(9))
+
+    def test_some_scan_finds_a_certificate(self):
+        assert oracle_cancellativity_scan(tight_presentation(), 8) is not None
+
 
 class TestCancellativity:
     def test_free_never_certified(self):
@@ -398,6 +490,25 @@ def oracle_cancellativity_scan(P, bound):
     return None
 
 
+def oracle_half_factorial(P):
+    """(status, assignment) from the ambient-space system: a functional on
+    Q^n that is 0 on every relation difference u - v and 1 on every atom,
+    solved over the rationals; the assignment is its particular solution
+    on the generating words."""
+    rows = [[Fraction(x) for x in diff] for diff in monoid.relation_differences(P)]
+    rhs = [Fraction(0)] * len(rows)
+    for a in atoms(P):
+        rows.append([Fraction(x) for x in a.representative])
+        rhs.append(Fraction(1))
+    part = monoid._rational_solve(rows, rhs) if rows else [Fraction(0)] * len(P.gens)
+    if part is None:
+        return "no", None
+    return "yes", {
+        P.format_word(w): int(sum(m * part[k] for k, m in enumerate(w)))
+        for w in generating_words(P)
+    }
+
+
 def oracle_factorisation_lengths(P, bound, assignment):
     """Brute force: every factorization of a class of grade at most `bound`
     into atoms has the length that `assignment` gives each word of the
@@ -474,6 +585,18 @@ class TestAgainstOracle:
         assert scan.bound == bound
         assert scan.certificate == oracle_cancellativity_scan(P, bound)
         event(f"certificate: {scan.certificate is not None}")
+        try:
+            gp = group_completion(P)
+        except monoid.InvalidPresentation:
+            # generating_words misses an irreducible word above the
+            # largest carrier-vector grade, so no completion exists
+            gp = None
+        else:
+            hp = is_half_factorial(P)
+            event(f"half-factorial on {P.carrier.kind}: {hp.status}")
+            assert (hp.status, hp.assignment) == oracle_half_factorial(P)
+            if hp.status == "yes":
+                oracle_factorisation_lengths(P, bound, hp.assignment)
         if not P.relations:
             return
         # duplicated, reversed and translated relations present the same
@@ -487,16 +610,9 @@ class TestAgainstOracle:
         for s in range(bound + 1):
             assert stratum_classes(Q, s).classes == stratum_classes(P, s).classes
         assert cancellativity_scan(Q, bound) == scan
-        try:
-            gp = group_completion(P)
-        except monoid.InvalidPresentation:
-            # generating_words misses an irreducible word above the
-            # largest carrier-vector grade, so no completion exists
+        if gp is None:
             return
         gq = group_completion(Q)
         assert (gq.rank, gq.invariant_factors) == (gp.rank, gp.invariant_factors)
-        hp, hq = is_half_factorial(P), is_half_factorial(Q)
-        event(f"half-factorial: {hp.status}")
+        hq = is_half_factorial(Q)
         assert (hq.status, hq.assignment) == (hp.status, hp.assignment)
-        if hp.status == "yes":
-            oracle_factorisation_lengths(P, bound, hp.assignment)

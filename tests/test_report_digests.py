@@ -2,8 +2,10 @@
 
 The stdout and exit status of `analyze --dot -` (the JSON report followed
 by the truncated Cayley quiver) for every torsion-free class over every
-orientation of A3 and A4, 392 classes, and of `regress`, are compared by
-SHA-256 digest with `report_digests.txt`.  A change that alters the
+orientation of A3 and A4, 392 classes, of `regress`, and of the JSON
+report of w0 over `1<2>3<4>5>6` and `1<2>3<4>5>6>7` (A6 and A7, about a
+second together), are compared by SHA-256 digest with
+`report_digests.txt`.  A change that alters the
 reports on purpose regenerates that file from the repository root with
 
     PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.txt
@@ -42,6 +44,8 @@ def report_lines() -> list[str]:
                 argv = ("analyze", "--quiver", str(q), "--w", format_perm(w))
                 lines.append(f"{q} {format_perm(w)} {_run(*argv, '--dot', '-')}")
     lines.append(f"regress {_run('regress')}")
+    for q, w0 in (("1<2>3<4>5>6", "7654321"), ("1<2>3<4>5>6>7", "87654321")):
+        lines.append(f"{q} {w0} json {_run('analyze', '--quiver', q, '--w', w0)}")
     return lines
 
 
