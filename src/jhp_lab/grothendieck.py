@@ -3,15 +3,15 @@ From categories to monoid presentations and decision reports.
 
 A category source has one of two shapes.  It carries a repkit
 membership (a type-A torsion-free class, a torsion-free class over a
-Nakayama algebra, or any membership), whose relations `presentation_of`
-harvests from conflations with bounded middle length; or it carries a
-presentation in closed form (a dimension-vector-restricted class over the
-A2 algebra, a split semisimple class, or an explicit presentation), built
-once at construction, with a caveat naming where its relations come
-from.  `report` assembles the full verdict sheet: simple objects/atoms,
-completed-group rank and torsion, freeness (= the Jordan-Hoelder
-property), half-factoriality (= unique composition-series length), a
-bounded cancellativity scan, and the dimension-vector monoid.
+Nakayama algebra, or any summand-closed membership), whose relations
+`presentation_of` harvests from conflations with bounded middle length;
+or it carries a presentation in closed form (a dimension-vector-restricted
+class over the A2 algebra, a split semisimple class, or an explicit
+presentation), built once at construction, with a caveat naming where
+its relations come from.  `report` assembles the full verdict sheet:
+simple objects/atoms, completed-group rank and torsion, freeness (= the
+Jordan-Hoelder property), half-factoriality (= unique composition-series
+length), a bounded cancellativity scan, and the dimension-vector monoid.
 
 Relation lists are truncated at the source's grade bound.  Atom detection
 only needs relations up to the largest generator grade (rewrites preserve
@@ -139,6 +139,11 @@ def _harvested_presentation(
 ) -> Presentation:
     """Present the subcategory; harvest up to grade_bound, or adaptively.
 
+    The generators are the live catalogue entries on an `all` carrier:
+    the members must be exactly the sums of them, which holds for
+    summand-closed memberships only.  `repkit.extension_relations`
+    rejects the others.
+
     With an explicit bound, all conflations with middle length up to that
     bound are harvested.  Without one, the bound is raised from the
     largest generator grade (enough for exact atoms) until the harvested
@@ -147,14 +152,14 @@ def _harvested_presentation(
     the largest generator grade could miss relations among generators, so
     the atoms would not be exact; it is rejected.
 
-    A summand-closed membership is harvested from extensions of pairs of
-    its indecomposables, each pair glued once across the bound steps.  For
-    extension-closed E this gives the same congruence: a decomposable end
-    X1 + X2 splits a conflation into one with end X1 and middle Y and one
-    with the shorter middle Y/X1 in E, dually for the other end.  After a
-    glued middle leaves E or its catalogue, the subspace harvest
-    `repkit.conflations_up_to` runs, re-harvesting at each bound step, as
-    it does for predicate and dims-only memberships.
+    Relations come from extensions of pairs of member indecomposables,
+    each pair glued once across the bound steps.  For extension-closed E
+    this gives the same congruence: a decomposable end X1 + X2 splits a
+    conflation into one with end X1 and middle Y and one with the shorter
+    middle Y/X1 in E, dually for the other end.  After a glued middle
+    leaves E or its catalogue, the subspace harvest
+    `repkit.conflations_up_to` runs instead, re-harvesting at each bound
+    step.
     """
     live = membership.live
     names = tuple(membership.labels[k] for k in live)
@@ -190,7 +195,7 @@ def _harvested_presentation(
         top = max(grades, default=1)
         bounds = range(top, 2 * top + 1)
     # extension pairs glued so far (None: subspace harvest), up to `glued`
-    found: set | None = set() if membership.summand_closed else None
+    found: set | None = set()
     glued = 0
     for bound in bounds:
         if found is not None:

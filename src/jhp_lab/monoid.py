@@ -10,13 +10,13 @@ stratum by stratum with a union-find: two words are identified exactly
 when a chain of single-relation rewrites w -> w - u + v connects them,
 where the leftover w - u must itself be a carrier word.
 
-Group completion, freeness and bounded cancellativity scanning are
-decided from this exact stratum data; the Smith normal form used for group
-completions is computed here over plain Python ints.  Half-factoriality is
-decided on K0 tensored with Q: a functional that is 1 on every atom and 0
-on every relation difference vanishes on the relation lattice, so it
-factors through the free coordinates of the group completion, and only
-the images of the atoms there enter the linear system.
+Atoms and the bounded cancellativity scan are read off this exact stratum
+data.  The group completion needs no strata: it is one Smith normal form
+of the relation differences, over plain Python ints.  Freeness is the
+count #atoms = rank K0.  Half-factoriality is decided on K0 tensored with
+Q: a functional that is 1 on every atom and 0 on every relation
+difference vanishes on the relation lattice, so it factors through the
+free coordinates of the group completion.
 
 Inside a stratum computation a word is handled as one packed int, a
 mixed-radix number with one digit per generator (see `stratum_classes`),
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import le, mul
 
 WORD_CAP = 500_000
 
@@ -366,37 +366,51 @@ def relation_differences(P: Presentation) -> tuple[tuple[int, ...], ...]:
 def generating_words(P: Presentation) -> tuple[Word, ...]:
     """Monoid generators of the carrier: its irreducible words.
 
-    For the unrestricted carrier these are the single-generator words; for
-    a dimension-vector carrier the irreducible words are harvested among
-    the grades of the generating vectors.
+    For the unrestricted carrier these are the single-generator words.  For
+    a dimension-vector carrier, take the minimal nonzero solutions (w, y)
+    in naturals of dimvec(w) = sum_i y_i v_i over the carrier vectors v_i.
+    A solution (w, y) is a sum of minimal ones, whose w-parts are carrier
+    words.  For w irreducible all but one of these w-parts are 0, and a
+    minimal solution with w-part 0 would have y = 0 too; so (w, y) is
+    minimal, and the generators are the irreducible w-parts.
     """
     if P._generating_words is None:
-        P._generating_words = _generating_words(P)
+        k = len(P.gens)
+        if P.carrier.kind == "all":
+            words = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        elif P.gens.dimvecs is None:
+            raise InvalidPresentation("dimvec carrier needs generator dimvecs")
+        else:
+            rows = [
+                list(column) + [-v[i] for v in P.carrier.vectors]
+                for i, column in enumerate(zip(*P.gens.dimvecs))
+            ]
+            parts = {x[:k] for x in _minimal_solutions(rows) if any(x[:k])}
+            words = sorted(w for w in parts if is_irreducible(P, w))
+        P._generating_words = tuple(words)
     return P._generating_words
 
 
-def _generating_words(P: Presentation) -> tuple[Word, ...]:
-    if P.carrier.kind == "all":
-        out = []
-        for k in range(len(P.gens)):
-            w = list(P.gens.zero())
-            w[k] = 1
-            out.append(tuple(w))
-        return tuple(out)
-    if P.gens.dimvecs is None:
-        raise InvalidPresentation("dimvec carrier needs generator dimvecs")
-    for g, dv in zip(P.gens.grades, P.gens.dimvecs):
-        if g != sum(dv):
-            raise InvalidPresentation(
-                "dimvec carriers assume grade == total dimension per generator"
-            )
-    top = max(sum(v) for v in P.carrier.vectors)
-    out = []
-    for s in range(1, top + 1):
-        for w in P.words_of_grade(s):
-            if is_irreducible(P, w):
-                out.append(w)
-    return tuple(sorted(out))
+def _minimal_solutions(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """The minimal nonzero x in N^n with rows . x = 0 (Contejean-Devie):
+    grown from the unit vectors one unit at a time, adding e_j to x only
+    when (rows . x) . (rows . e_j) < 0 and never above a solution found."""
+    columns = list(zip(*rows))
+    n = len(columns)
+    found: list[tuple[int, ...]] = []
+    level = {tuple(int(i == j) for i in range(n)) for j in range(n)}
+    while level:
+        image = {x: [sum(map(mul, row, x)) for row in rows] for x in level}
+        found += sorted(x for x, ax in image.items() if not any(ax))
+        level = {
+            x[:j] + (x[j] + 1,) + x[j + 1 :]
+            for x, ax in image.items()
+            if any(ax)
+            for j, col in enumerate(columns)
+            if sum(map(mul, ax, col)) < 0
+        }
+        level = {y for y in level if not any(all(map(le, m, y)) for m in found)}
+    return found
 
 
 def is_irreducible(P: Presentation, word: Word) -> bool:
@@ -416,7 +430,6 @@ def is_irreducible(P: Presentation, word: Word) -> bool:
 class Atom:
     representative: Word
     grade: int
-    members: frozenset[Word]
 
     def pretty(self, P: Presentation) -> str:
         return P.format_word(self.representative)
@@ -443,7 +456,7 @@ def atoms(P: Presentation) -> list[Atom]:
             continue
         seen.add((s, rep))
         if all(is_irreducible(P, x) for x in cls):
-            out.append(Atom(rep, s, cls))
+            out.append(Atom(rep, s))
     out.sort(key=lambda a: (a.grade, a.representative))
     P._atoms = tuple(out)
     return out
@@ -575,40 +588,18 @@ def integer_kernel(snf) -> list[list[int]]:
 class GroupCompletionData:
     rank: int
     invariant_factors: tuple[int, ...]
-    atom_images: tuple[tuple[int, ...], ...]
     _gen_snf: tuple | None  # Smith form of the carrier generator rows
-    _V: tuple[tuple[int, ...], ...]
-    _diag: tuple[int, ...]
-
-    def image_of(self, word: Word) -> tuple[int, ...]:
-        """Canonical coordinates of a carrier word in the completed group."""
-        return _image(_coordinates(self._gen_snf, self._V, word), self._diag)
+    _free_V: tuple[tuple[int, ...], ...]  # the columns of V with d == 0
 
     def free_coordinates(self, word: Word) -> list[int]:
         """The coordinates of a carrier word in Q tensor the completed
-        group: its image with the torsion coordinates dropped."""
-        c = _coordinates(self._gen_snf, self._V, word)
-        return [x for x, d in zip(c, self._diag) if d == 0]
-
-
-def _coordinates(gen_snf, V, word: Word) -> list[int]:
-    """x . V for the x with x . (carrier generator rows) = word.
-
-    `gen_snf` is None on an `all` carrier, whose generator rows are the
-    unit words: then x is the word, and a unit word reads a row of V.
-    """
-    if gen_snf is None:
-        x = word
-    else:
-        x = integer_solve(gen_snf, list(word))
+        group: x . V on the free columns, for x . (carrier generator rows)
+        = word.  On an `all` carrier the generator rows are the unit words,
+        so x is the word and a unit word reads one row of V."""
+        x = word if self._gen_snf is None else integer_solve(self._gen_snf, list(word))
         if x is None:
             raise InvalidPresentation("word does not lie in the carrier lattice")
-    return _mat_vec(V, x)
-
-
-def _image(c: list[int], diag) -> tuple[int, ...]:
-    # free coordinates as they are, torsion ones reduced, d == 1 ones dropped
-    return tuple(x if d == 0 else x % d for x, d in zip(c, diag) if d != 1)
+        return _mat_vec(self._free_V, x)
 
 
 def group_completion(P: Presentation) -> GroupCompletionData:
@@ -619,10 +610,9 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     generators are divided out as well, so the answer does not depend on
     the chosen generator preimages).  Only the distinct differences enter
     the Smith normal form, so rank and invariant factors depend on them
-    alone; atom images are coordinates in a basis of the group that may
-    change with the difference list, but which atoms collide does not.
-    On an `all` carrier the generators are the unit words, so each
-    difference is its own row and there are no syzygies.
+    alone; no stratum and no atom is computed.  On an `all` carrier the
+    generators are the unit words, so each difference is its own row and
+    there are no syzygies.
     """
     if P._completion is not None:
         return P._completion
@@ -649,17 +639,12 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     for j in range(p):
         d = D[j][j] if j < len(rel_rows) and j < p else 0
         diag.append(abs(d))
-    V = tuple(tuple(row) for row in V)
-    images = tuple(
-        _image(_coordinates(gen_snf, V, a.representative), diag) for a in atoms(P)
-    )
+    free = [j for j, d in enumerate(diag) if d == 0]
     P._completion = GroupCompletionData(
-        rank=sum(1 for d in diag if d == 0),
+        rank=len(free),
         invariant_factors=tuple(d for d in diag if d > 1),
-        atom_images=images,
         _gen_snf=gen_snf,
-        _V=V,
-        _diag=tuple(diag),
+        _free_V=tuple(tuple(row[j] for j in free) for row in V),
     )
     return P._completion
 
@@ -669,14 +654,16 @@ def group_completion(P: Presentation) -> GroupCompletionData:
 
 
 def is_free(P: Presentation) -> bool:
-    """Freeness test: free atomic graded monoids are exactly those whose
-    completed group is torsion-free with the atoms as a basis."""
-    ats = atoms(P)
-    gc = group_completion(P)
-    return (
-        not gc.invariant_factors
-        and len(set(gc.atom_images)) == len(ats) == gc.rank
-    )
+    """Is the monoid free?  Exactly when #atoms = rank K0.
+
+    The atoms generate the monoid M, so Z^atoms maps onto gp(M).  With r
+    atoms and rank r the kernel has rank 0 inside a free group, so it is
+    0: gp(M) is free on the atom images, which are distinct.  Then
+    N^atoms -> M is injective, as its composite with M -> gp(M) is, and
+    onto: M is free.  The converse is immediate.  So the count implies
+    that K0 is torsion-free and that distinct atoms have distinct images.
+    """
+    return len(atoms(P)) == group_completion(P).rank
 
 
 @dataclass(frozen=True)

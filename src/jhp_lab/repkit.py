@@ -217,10 +217,6 @@ class Rep:
         return self.total_dim == 0
 
 
-def zero_rep(algebra: PresentedAlgebra) -> Rep:
-    return Rep(algebra, (0,) * algebra.vertices, tuple(() for _ in algebra.arrows))
-
-
 def direct_sum(algebra: PresentedAlgebra, reps: list[Rep]) -> Rep:
     for r in reps:
         if r.algebra != algebra:
@@ -233,50 +229,6 @@ def direct_sum(algebra: PresentedAlgebra, reps: list[Rep]) -> Rep:
         for r in reps:
             cols.extend(c << t_off for c in r.maps[a])
             t_off += r.dims[t - 1]
-        maps.append(tuple(cols))
-    return Rep(algebra, dims, tuple(maps))
-
-
-def format_rep(rep: Rep) -> str:
-    """Serialize as a dimension vector plus row-major 0/1 matrices."""
-    lines = ["dims: " + ",".join(str(d) for d in rep.dims)]
-    for cols, (name, s, t) in zip(rep.maps, rep.algebra.arrows):
-        rows = []
-        for r in range(rep.dims[t - 1]):
-            rows.append("".join(str(c >> r & 1) for c in cols))
-        lines.append(f"map {name}: " + " ".join(rows))
-    return "\n".join(lines) + "\n"
-
-
-def parse_rep(text: str, algebra: PresentedAlgebra) -> Rep:
-    dims = None
-    rows_by_arrow: dict[str, list[str]] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("dims:"):
-            dims = tuple(int(x) for x in line.split(":", 1)[1].split(","))
-        elif line.startswith("map"):
-            m = re.fullmatch(r"map\s+(\w+)\s*:\s*([01\s]*)", line)
-            if not m:
-                raise InvalidSpec(f"bad map line: {raw!r}")
-            rows_by_arrow[m.group(1)] = m.group(2).split()
-        else:
-            raise InvalidSpec(f"unrecognized line: {raw!r}")
-    if dims is None:
-        raise InvalidSpec("missing 'dims:' line")
-    maps = []
-    for name, s, t in algebra.arrows:
-        rows = rows_by_arrow.get(name, [])
-        if len(rows) != dims[t - 1] or any(len(r) != dims[s - 1] for r in rows):
-            if dims[t - 1] == 0 or dims[s - 1] == 0:
-                maps.append((0,) * dims[s - 1])
-                continue
-            raise InvalidSpec(f"map {name} has the wrong shape")
-        cols = []
-        for c in range(dims[s - 1]):
-            cols.append(sum(1 << r for r in range(dims[t - 1]) if rows[r][c] == "1"))
         maps.append(tuple(cols))
     return Rep(algebra, dims, tuple(maps))
 
@@ -680,10 +632,9 @@ def _subspace_list(dim: int) -> tuple[gf2.Echelon, ...]:
     return tuple(gf2.subspaces(dim))
 
 
-def enumerate_subreps(X: Rep, bound: int | None = None) -> list[SubRep]:
+def enumerate_subreps(X: Rep) -> list[SubRep]:
     """All arrow-stable subspace tuples of X, including 0 and X."""
-    if bound is None:
-        bound = dimension_bound()
+    bound = dimension_bound()
     if X.total_dim > bound:
         raise DimensionBoundExceeded(f"total dimension {X.total_dim}", bound)
     nv = X.algebra.vertices
@@ -712,9 +663,9 @@ def enumerate_subreps(X: Rep, bound: int | None = None) -> list[SubRep]:
     return out
 
 
-def _proper_subreps(X: Rep, bound: int | None):
+def _proper_subreps(X: Rep):
     """The nonzero subspace tuples of X other than X itself, lazily."""
-    return (S for S in enumerate_subreps(X, bound) if S.total_dim not in (0, X.total_dim))
+    return (S for S in enumerate_subreps(X) if S.total_dim not in (0, X.total_dim))
 
 
 def sub_rep(X: Rep, S: SubRep) -> Rep:
@@ -858,16 +809,16 @@ def _steps(X: Rep, E: Membership, subs, accept=lambda key: True):
             yield sub_key, tuple(sorted(cquot.elements()))
 
 
-def admissible_subreps(X: Rep, E: Membership, bound: int | None = None) -> list[SubRep]:
-    out = list(_admissible(X, E, enumerate_subreps(X, bound)))
+def admissible_subreps(X: Rep, E: Membership) -> list[SubRep]:
+    out = list(_admissible(X, E, enumerate_subreps(X)))
     out.sort(key=lambda s: (s.total_dim, s.bases))
     return out
 
 
-def admissible_poset(X: Rep, E: Membership, bound: int | None = None) -> SubobjectPoset:
+def admissible_poset(X: Rep, E: Membership) -> SubobjectPoset:
     if not E.contains(X):
         raise NotMember("X does not belong to the subcategory")
-    elems = admissible_subreps(X, E, bound)
+    elems = admissible_subreps(X, E)
     n = len(elems)
     down = [0] * n
     up = [0] * n
@@ -967,11 +918,11 @@ class SeriesReport:
     nu_max: int
 
 
-def is_simple_object(X: Rep, E: Membership, bound: int | None = None) -> bool:
+def is_simple_object(X: Rep, E: Membership) -> bool:
     """Is X simple in E, i.e. are 0 and X its only admissible subobjects?"""
     if X.is_zero():
         return False
-    return next(_admissible(X, E, _proper_subreps(X, bound)), None) is None
+    return next(_admissible(X, E, _proper_subreps(X)), None) is None
 
 
 class SeriesAnalyzer:
@@ -986,17 +937,15 @@ class SeriesAnalyzer:
     objects of one subcategory shares all the work.
     """
 
-    def __init__(self, E: Membership, bound: int | None = None):
+    def __init__(self, E: Membership):
         self.E = E
-        self.bound = bound
         self._simple_memo: dict = {}
         self._chain_memo: dict = {}
 
     def _simple(self, key: tuple) -> bool:
         if key not in self._simple_memo:
-            self._simple_memo[key] = is_simple_object(
-                self.E.representative(key), self.E, self.bound
-            )
+            X = self.E.representative(key)
+            self._simple_memo[key] = is_simple_object(X, self.E)
         return self._simple_memo[key]
 
     def _simple_step(self, key: tuple) -> bool:
@@ -1011,7 +960,7 @@ class SeriesAnalyzer:
             if X.is_zero():
                 out.add(())
             else:
-                nonzero = (S for S in enumerate_subreps(X, self.bound) if S.total_dim)
+                nonzero = (S for S in enumerate_subreps(X) if S.total_dim)
                 steps = _steps(X, self.E, nonzero, self._simple_step)
                 for sub_key, quot_key in dict.fromkeys(steps):
                     for tail in self._chains(quot_key):
@@ -1039,9 +988,9 @@ class SeriesAnalyzer:
         )
 
 
-def series_analysis(X: Rep, E: Membership, bound: int | None = None) -> SeriesReport:
+def series_analysis(X: Rep, E: Membership) -> SeriesReport:
     """All composition series data of X in E, by exhaustive chain search."""
-    return SeriesAnalyzer(E, bound).analyze(X)
+    return SeriesAnalyzer(E).analyze(X)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,9 +1035,7 @@ def _supports_connected(E: Membership, multiset: tuple[int, ...]) -> bool:
 
 
 def conflations_up_to(
-    E: Membership,
-    maxlen: int,
-    bound: int | None = None,
+    E: Membership, maxlen: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All middle-vs-ends relation pairs from conflations in E.
 
@@ -1103,8 +1050,7 @@ def conflations_up_to(
     direct sums with vertex-disjoint summand groups, and isotypic powers
     of a one-dimensional summand (semisimple, so all their pairs split).
     """
-    if bound is None:
-        bound = dimension_bound()
+    bound = dimension_bound()
     if maxlen > bound:
         raise DimensionBoundExceeded(f"middle length {maxlen}", bound)
     pairs: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -1135,7 +1081,7 @@ def conflations_up_to(
         Y = direct_sum(
             E.algebra, [c for k, c in enumerate(E.catalogue) for _ in range(word[k])]
         )
-        for sub_key, quot_key in _steps(Y, E, _proper_subreps(Y, bound)):
+        for sub_key, quot_key in _steps(Y, E, _proper_subreps(Y)):
             rhs = _word_of(E, sub_key + quot_key)
             if rhs != word:
                 pairs.add((word, rhs))
@@ -1294,7 +1240,7 @@ def torsion_free_classes(E: Membership, check_len: int) -> list[frozenset[int]]:
     facts = []  # (y_classes, {(u_classes, q_classes)})
     for word in _multisets_up_to(lengths, check_len):
         Y = direct_sum(E.algebra, [c for k, c in enumerate(cat) for _ in range(word[k])])
-        steps = _steps(Y, E, _proper_subreps(Y, bound))
+        steps = _steps(Y, E, _proper_subreps(Y))
         pairs = {(frozenset(u), frozenset(q)) for u, q in steps}
         facts.append((frozenset(k for k, m in enumerate(word) if m), pairs))
 

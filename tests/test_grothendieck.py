@@ -58,6 +58,23 @@ class TestSourceContracts:
         with pytest.raises(gk.InvalidSpec):
             gk.a2_designated(m, n)
 
+    def test_harvest_refuses_memberships_not_closed_under_summands(self):
+        # the vector spaces of dimension other than 1, where
+        # k^6 = 3*k^2 = 2*k^3 fails the JHP, once read jhp true with the
+        # non-member k as its atom; the class over 1<2 with no maps to
+        # M[1,3), whose one member is M[2,3), read three atoms of rank 3
+        k = repkit.Rep(repkit.PresentedAlgebra(1, (), ()), (1,), ())
+        vector_spaces = repkit.Membership.dims_only((k,), lambda d: d[0] != 1)
+        mods, reps = typea.interval_catalogue(parse_orientation("1<2"))
+        top = reps[[str(m) for m in mods].index("M[1,3)")]
+        no_maps_to_top = repkit.Membership.predicate(
+            tuple(reps), lambda X: repkit.hom_dim(X, top) == 0
+        )
+        for E in (vector_spaces, no_maps_to_top):
+            with pytest.raises(gk.InvalidSpec, match="summand-closed"):
+                gk.report(gk.repkit_backed(E))
+            repkit.conflations_up_to(E, 4)  # the oracle still takes them
+
     def test_abstract_rejects_malformed_line(self):
         with pytest.raises(monoid.InvalidPresentation):
             gk.abstract_source("generator a grade one\ncarrier all\n")

@@ -121,16 +121,6 @@ def test_fingerprint_classifier_agrees_with_rep_construction():
             assert clf.quot_class(S) == E.decompose(repkit.quotient_rep(Y, S))
 
 
-def test_rep_serialization_roundtrip():
-    alg = repkit.parse_algebra(
-        "vertices: 2\narrow b: 1 -> 1\narrow a: 2 -> 1\nrelation b b"
-    )
-    for dims in ((2, 1), (1, 1), (2, 0)):
-        for rep in repkit.all_reps(alg, dims):
-            text = repkit.format_rep(rep)
-            assert repkit.parse_rep(text, alg) == rep
-
-
 def test_nakayama_class_roundtrip():
     members = nakayama.parse_class("1:1, 2:2, 3:3")
     assert members == frozenset(

@@ -112,7 +112,7 @@ class TestDecompose:
 
     def test_zero(self):
         S1, P, S2, E = a2_setup()
-        assert E.decompose(repkit.zero_rep(S1.algebra)) == Counter()
+        assert E.decompose(repkit.direct_sum(S1.algebra, [])) == Counter()
 
     def test_union_under_direct_sum_and_iso_invariance(self):
         S1, P, S2, E = a2_setup()
@@ -187,10 +187,13 @@ class TestSubreps:
         X = repkit.direct_sum(S1.algebra, [S1, S2])
         assert len(repkit.enumerate_subreps(X)) == 4
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
         with pytest.raises(repkit.DimensionBoundExceeded):
             repkit.enumerate_subreps(single_vertex(9))
-        assert len(repkit.enumerate_subreps(single_vertex(3), bound=3)) == 16
+        monkeypatch.setenv("JHP_LAB_BOUND", "3")
+        assert len(repkit.enumerate_subreps(single_vertex(3))) == 16
+        with pytest.raises(repkit.DimensionBoundExceeded):
+            repkit.enumerate_subreps(single_vertex(4))
 
     def test_sub_and_quotient_are_complementary(self):
         S1, P, S2, E = a2_setup()
