@@ -23,7 +23,9 @@ caveats on every report.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import gf2, monoid, nakayama, repkit, typea
 from .monoid import Carrier, GeneratorTable, Presentation
@@ -40,11 +42,13 @@ class CategorySource:
     """One exact category: a membership whose relations are harvested from
     its conflations up to `grade_bound` (adaptively when None), or a
     presentation in closed form with a caveat naming where its relations
-    come from."""
+    come from.  `extensions` supplies the harvest's extension relations,
+    with the signature of `repkit.extension_relations` (the default)."""
 
     label: str
     membership: repkit.Membership | None = None
     grade_bound: int | None = None
+    extensions: Callable | None = None
     presentation: Presentation | None = None
     caveat: str = ""
 
@@ -56,6 +60,7 @@ def typea_torsionfree(
         label=f"typeA_torsionfree(w={format_perm(w)}, Q={quiver})",
         membership=typea.torsion_free_membership(w, quiver),
         grade_bound=grade_bound,
+        extensions=partial(typea.extension_relations, quiver),
     )
 
 
@@ -135,7 +140,9 @@ def repkit_backed(
 
 
 def _harvested_presentation(
-    membership: repkit.Membership, grade_bound: int | None
+    membership: repkit.Membership,
+    grade_bound: int | None,
+    extensions: Callable | None = None,
 ) -> Presentation:
     """Present the subcategory; harvest up to grade_bound, or adaptively.
 
@@ -153,13 +160,17 @@ def _harvested_presentation(
     the atoms would not be exact; it is rejected.
 
     Relations come from extensions of pairs of member indecomposables,
-    each pair glued once across the bound steps.  For extension-closed E
-    this gives the same congruence: a decomposable end X1 + X2 splits a
-    conflation into one with end X1 and middle Y and one with the shorter
-    middle Y/X1 in E, dually for the other end.  After a glued middle
-    leaves E or its catalogue, the subspace harvest
-    `repkit.conflations_up_to` runs instead, re-harvesting at each bound
-    step.
+    each pair looked at once across the bound steps.  `extensions`
+    supplies them for the pairs whose grades sum to more than the last
+    step's bound: the closed-form interval rule `typea.extension_relations`
+    for a type-A class, and by default `repkit.extension_relations`, which
+    glues each pair over F2 and classifies the middles by Hom counts.  For
+    extension-closed E this gives the same congruence: a decomposable end
+    X1 + X2 splits a conflation into one with end X1 and middle Y and one
+    with the shorter middle Y/X1 in E, dually for the other end.  After a
+    middle leaves E or its catalogue (`extensions` returns None), the
+    subspace harvest `repkit.conflations_up_to` runs instead,
+    re-harvesting at each bound step.
     """
     live = membership.live
     names = tuple(membership.labels[k] for k in live)
@@ -194,12 +205,14 @@ def _harvested_presentation(
     else:
         top = max(grades, default=1)
         bounds = range(top, 2 * top + 1)
-    # extension pairs glued so far (None: subspace harvest), up to `glued`
+    if extensions is None:
+        extensions = repkit.extension_relations
+    # extension pairs looked at so far (None: subspace harvest), up to `glued`
     found: set | None = set()
     glued = 0
     for bound in bounds:
         if found is not None:
-            new = repkit.extension_relations(membership, bound, above=glued)
+            new = extensions(membership, bound, above=glued)
             if new is None:
                 found = None  # a middle left E or its catalogue
             else:
@@ -266,7 +279,9 @@ def presentation_of(src: CategorySource) -> Presentation:
     most the source's grade bound; otherwise the source's own presentation.
     """
     if src.membership is not None:
-        return _harvested_presentation(src.membership, src.grade_bound)
+        return _harvested_presentation(
+            src.membership, src.grade_bound, src.extensions
+        )
     return src.presentation
 
 

@@ -61,6 +61,8 @@ class GeneratorTable:
             raise InvalidPresentation("grades must be positive")
         if self.dimvecs is not None and len(self.dimvecs) != len(self.names):
             raise InvalidPresentation("one dimension vector per generator")
+        if self.dimvecs is not None and len(set(map(len, self.dimvecs))) > 1:
+            raise InvalidPresentation("dimension vectors of unequal length")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -848,6 +850,8 @@ def parse_presentation(text: str) -> Presentation:
             )
             if not m:
                 raise InvalidPresentation(f"bad generator line: {raw!r}")
+            if m.group(1) in names:
+                raise InvalidPresentation(f"generator declared twice: {raw!r}")
             names.append(m.group(1))
             grades.append(int(m.group(2)))
             if m.group(3) is not None:
@@ -871,11 +875,9 @@ def parse_presentation(text: str) -> Presentation:
             rel_texts.append((lhs, rhs))
         else:
             raise InvalidPresentation(f"unrecognized line: {raw!r}")
-    gens = GeneratorTable(
-        tuple(names),
-        tuple(grades),
-        tuple(dimvecs) if dimvecs and len(dimvecs) == len(names) else None,
-    )
+    if dimvecs and len(dimvecs) != len(names):
+        raise InvalidPresentation("dimension vectors on some generators only")
+    gens = GeneratorTable(tuple(names), tuple(grades), tuple(dimvecs) or None)
     index = {n: k for k, n in enumerate(names)}
 
     def parse_side(side: str) -> Word:

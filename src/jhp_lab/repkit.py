@@ -10,16 +10,21 @@ composition series, subobject posets and conflation lists are computed by
 direct search.  The ground field is always F2, which keeps every subspace
 lattice finite.
 
-Conflation relations come from one of two harvests.  `conflations_up_to`
-walks every subobject of every direct sum of members (any membership; the
-oracle).  `extension_relations` glues pairs of member indecomposables
-(summand-closed memberships).  For extension-closed E it gives the same
+Conflation relations come from one of three sources.  For a type-A
+torsion-free class, `typea.extension_relations` reads the middle of each
+extension of two interval modules off their endpoints (a closed-form Ext
+rule; no representation is built).  For other summand-closed memberships,
+`extension_relations` here glues pairs of member indecomposables over F2
+and classifies each middle by Hom counts.  `conflations_up_to` walks every
+subobject of every direct sum of members (any membership): it is the
+fallback when a middle leaves the class, and the oracle of the tests.
+The two extension sources give, for extension-closed E, the same
 congruence at each middle length: an end X1 + X2 of 0 -> X -> Y -> Z -> 0
 splits it into 0 -> X1 -> Y -> Y/X1 -> 0 and 0 -> X2 -> Y/X1 -> Z -> 0,
 with Y/X1 in E and no longer than Y, and dually for Z = Z1 + Z2, until both
 ends are indecomposable.  That the reduction ends is not shown in general
 (splitting one end can add summands to the other), so the tests check the
-two harvests against each other.
+extension harvests against the subspace harvest.
 """
 from __future__ import annotations
 

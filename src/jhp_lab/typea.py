@@ -103,32 +103,6 @@ def jhp_verdict(w: Perm, q: Orientation) -> bool:
     return len(support(w)) == len(bruhat_inversions(w))
 
 
-@dataclass(frozen=True)
-class ConflationShape:
-    """The standard short exact sequence splicing M[i,j) at l."""
-
-    kind: str  # "ex1": M[i,l) is the submodule; "ex2": M[l,j) is
-    sub: IntervalModule
-    middle: IntervalModule
-    quotient: IntervalModule
-
-
-def standard_sequences(i: int, j: int, l: int, q: Orientation) -> ConflationShape:
-    """Which of the two splices of M[i,j) at i < l < j is exact.
-
-    M[i,l) is the submodule exactly when the edge between l-1 and l points
-    l -> l-1; otherwise M[l,j) is.
-    """
-    if not (1 <= i < l < j <= q.n + 1):
-        raise IndexOutOfRange(f"need 1 <= {i} < {l} < {j} <= {q.n + 1}")
-    middle = IntervalModule(i, j, q)
-    left = IntervalModule(i, l, q)
-    right = IntervalModule(l, j, q)
-    if q.arrow_points_left(l):
-        return ConflationShape("ex1", left, middle, right)
-    return ConflationShape("ex2", right, middle, left)
-
-
 def census(q: Orientation) -> tuple[int, int, int]:
     """(#torsion-free classes, #with JHP, #faithful with JHP)."""
     c = coxeter_element(q)
@@ -228,14 +202,19 @@ def interval_rep(m: IntervalModule, algebra: repkit.PresentedAlgebra | None = No
     return repkit.Rep(algebra, dims, tuple(maps))
 
 
-def interval_catalogue(q: Orientation) -> tuple[list[IntervalModule], list[repkit.Rep]]:
-    """All interval modules of the orientation, with their explicit reps."""
-    algebra = path_algebra(q)
-    mods = [
+def intervals(q: Orientation) -> list[IntervalModule]:
+    """All interval modules of the orientation, in catalogue order."""
+    return [
         IntervalModule(i, j, q)
         for i in range(1, q.n + 1)
         for j in range(i + 1, q.n + 2)
     ]
+
+
+def interval_catalogue(q: Orientation) -> tuple[list[IntervalModule], list[repkit.Rep]]:
+    """All interval modules of the orientation, with their explicit reps."""
+    algebra = path_algebra(q)
+    mods = intervals(q)
     return mods, [interval_rep(m, algebra) for m in mods]
 
 
@@ -251,3 +230,93 @@ def torsion_free_membership(w: Perm, q: Orientation) -> repkit.Membership:
         name=f"F({format_perm(w)}) over {q}",
         labels=tuple(str(m) for m in mods),
     )
+
+
+# ---------------------------------------------------------------------------
+# extensions of interval modules in closed form (Euler form of the path
+# algebra, which is hereditary)
+
+
+def hom_dim(Z: IntervalModule, X: IntervalModule) -> int:
+    """dim Hom(Z, X), which is 0 or 1.
+
+    A nonzero map sends Z onto its quotient on the overlap [p, r) of the
+    two intervals, which must also be a submodule of X: no arrow at an
+    end of the overlap may enter it from the rest of Z, or leave it for
+    the rest of X.
+    """
+    q = X.quiver
+    p, r = max(X.i, Z.i), min(X.j, Z.j)
+    if p >= r:
+        return 0
+    if p > X.i and q.arrow_points_left(p) or p > Z.i and not q.arrow_points_left(p):
+        return 0
+    if r < X.j and not q.arrow_points_left(r) or r < Z.j and q.arrow_points_left(r):
+        return 0
+    return 1
+
+
+def euler_form(Z: IntervalModule, X: IntervalModule) -> int:
+    """<dim Z, dim X>: sum over vertices v of z_v x_v, minus the sum over
+    arrows s -> t of z_s x_t."""
+    shared = max(0, min(X.j, Z.j) - max(X.i, Z.i))
+    crossing = sum(
+        1 for s, t in X.quiver.arrows() if Z.i <= s < Z.j and X.i <= t < X.j
+    )
+    return shared - crossing
+
+
+def ext_dim(Z: IntervalModule, X: IntervalModule) -> int:
+    """dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X>, which is 0 or 1."""
+    return hom_dim(Z, X) - euler_form(Z, X)
+
+
+def extension_middle(
+    X: IntervalModule, Z: IntervalModule
+) -> tuple[IntervalModule, ...] | None:
+    """Summands of the non-split middle Y of 0 -> X -> Y -> Z -> 0.
+
+    None when Ext^1(Z, X) = 0.  Otherwise Y is unique: for X = M[a,b)
+    and Z = M[c,d) it swaps the right ends, Y = M[a,d) + M[c,b), with an
+    empty interval dropped.
+    """
+    if not ext_dim(Z, X):
+        return None
+    return tuple(
+        IntervalModule(i, j, X.quiver)
+        for i, j in ((X.i, Z.j), (Z.i, X.j))
+        if i < j
+    )
+
+
+def extension_relations(
+    q: Orientation, E: repkit.Membership, maxlen: int, above: int = 0
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
+    """`repkit.extension_relations` for a class over `interval_catalogue(q)`,
+    with each middle read off the endpoints by `extension_middle`.
+
+    The same pairs, sorted, or None as soon as a middle has a summand
+    outside E; the middle length is bounded by `dimension_bound()` as
+    there.  No representation is built or glued.
+    """
+    bound = repkit.dimension_bound()
+    if maxlen > bound:
+        raise repkit.DimensionBoundExceeded(f"middle length {maxlen}", bound)
+    mods = intervals(q)
+    index = {m: k for k, m in enumerate(mods)}
+    pairs: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    live = E.live
+    for i in live:
+        for k in live:
+            X, Z = mods[i], mods[k]
+            if not above < X.module_length + Z.module_length <= maxlen:
+                continue
+            middle = extension_middle(X, Z)
+            if middle is None:
+                continue
+            classes = [index[m] for m in middle]
+            if not E.allows(classes):
+                return None
+            # a non-split middle is never X + Z, so the two words differ
+            pairs.add((repkit._word_of(E, classes), repkit._word_of(E, (i, k))))
+    return sorted(pairs)

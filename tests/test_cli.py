@@ -156,12 +156,6 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "3412")
         assert code == 4 and "WORD_CAP = 2" in err
 
-    def test_gluing_cap_exceeded_names_limit(self, capsys, monkeypatch):
-        # F(3412) glues pairs of intervals whose blocks allow two gluings
-        monkeypatch.setattr(repkit, "ENUMERATION_CAP", 1)
-        code, out, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "3412")
-        assert code == 4 and out == "" and "ENUMERATION_CAP = 1" in err
-
     def test_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "cayley.dot"
         code, _, _ = run(

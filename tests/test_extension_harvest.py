@@ -1,10 +1,11 @@
-"""The extension harvest against the subspace harvest it replaces.
+"""The extension harvests against the subspace harvest they replace.
 
-`repkit.extension_relations` glues pairs of indecomposables;
-`repkit.conflations_up_to` enumerates every subobject of every direct sum
-and stays the oracle.  Forcing `extension_relations` to report "not
-extension-closed" makes `_harvested_presentation` run the subspace
-harvest through the same adaptive loop.
+`repkit.extension_relations` glues pairs of indecomposables, and
+`typea.extension_relations` reads the middles of interval modules off
+their endpoints; `repkit.conflations_up_to` enumerates every subobject of
+every direct sum and stays the oracle.  Forcing `extension_relations` to
+report "not extension-closed" makes `_harvested_presentation` run the
+subspace harvest through the same adaptive loop.
 """
 from collections import Counter
 from functools import lru_cache
@@ -91,9 +92,15 @@ def test_extension_harvest_matches_subspace_oracle(monkeypatch):
     assert count == 392 + 131 + 4 + 21 + 1
 
 
+# F(34512) over 1>2<3<4 is not certified at bound 4 and stops at 5
+W_34512, Q_34512 = parse_perm("34512"), parse_orientation("1>2<3<4")
+
+
 def test_adaptive_loop_glues_each_pair_once(monkeypatch):
-    # F(34512) over 1>2<3<4 is not certified at bound 4 and stops at 5
-    E = typea.torsion_free_membership(parse_perm("34512"), parse_orientation("1>2<3<4"))
+    # the same class as an additive membership over the interval
+    # catalogue, which the generic gluing harvest presents
+    tf = typea.torsion_free_membership(W_34512, Q_34512)
+    E = repkit.Membership.additive(tf.catalogue, tf.allowed, labels=tf.labels)
     index = {rep: k for k, rep in enumerate(E.catalogue)}
     glued = Counter()
     classified = Counter()
@@ -110,7 +117,7 @@ def test_adaptive_loop_glues_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(repkit, "_gluings", counting_gluings)
     monkeypatch.setattr(E, "decompose", counting_decompose)
-    pres = gk._harvested_presentation(E, None)
+    pres = gk.presentation_of(gk.repkit_backed(E))
     assert pres.relation_grade_bound == 5
     grade = {k: E.catalogue[k].total_dim for k in E.live}
     assert set(glued) == {
@@ -120,7 +127,47 @@ def test_adaptive_loop_glues_each_pair_once(monkeypatch):
     assert classified and max(classified.values()) == 1
     # the incremental relations are those of one harvest at the final bound
     monkeypatch.undo()
-    assert shape(pres) == shape(gk._harvested_presentation(E, 5))
+    assert shape(pres) == shape(gk.presentation_of(gk.repkit_backed(E, 5)))
+
+
+def test_interval_rule_looks_at_each_pair_once(monkeypatch):
+    E = typea.torsion_free_membership(W_34512, Q_34512)
+    mods = typea.intervals(Q_34512)
+    looked = Counter()
+    real_middle = typea.extension_middle
+
+    def counting_middle(X, Z):
+        looked[mods.index(X), mods.index(Z)] += 1
+        return real_middle(X, Z)
+
+    def no_gluing(*args):
+        raise AssertionError("the interval rule glued a pair")
+
+    monkeypatch.setattr(typea, "extension_middle", counting_middle)
+    monkeypatch.setattr(repkit, "_gluings", no_gluing)
+    monkeypatch.setattr(repkit, "hom_dim", no_gluing)
+    pres = gk.presentation_of(gk.typea_torsionfree(W_34512, Q_34512))
+    assert pres.relation_grade_bound == 5
+    grade = {k: mods[k].module_length for k in E.live}
+    assert set(looked) == {
+        (i, k) for i in E.live for k in E.live if grade[i] + grade[k] <= 5
+    }
+    assert max(looked.values()) == 1
+    once = gk.presentation_of(gk.typea_torsionfree(W_34512, Q_34512, 5))
+    monkeypatch.undo()
+    assert shape(pres) == shape(once)
+    assert shape(pres) == shape(gk._harvested_presentation(E, None))
+
+
+def test_interval_rule_gives_the_gluing_presentation():
+    # same relation words in the same order, class by class
+    for n in (3, 4):
+        for dirs in product("><", repeat=n - 1):
+            q = Orientation(n, dirs)
+            for w in enumerate_c_sortable(coxeter_element(q)):
+                src = gk.typea_torsionfree(w, q)
+                generic = gk._harvested_presentation(src.membership, None)
+                assert shape(gk.presentation_of(src)) == shape(generic), (q, w)
 
 
 def extension_middles(reps, full):
@@ -180,6 +227,15 @@ def test_predicate_membership_is_refused():
     P = repkit.Membership.predicate(E.catalogue, E.contains, labels=E.labels)
     with pytest.raises(repkit.InvalidSpec):
         repkit.extension_relations(P, 4)
+
+
+def test_gluing_cap_names_limit(monkeypatch):
+    # F(3412) on the gluing path glues pairs of intervals whose blocks
+    # allow two gluings; the interval rule of `analyze` glues nothing
+    E = typea.torsion_free_membership(parse_perm("3412"), parse_orientation("1>2<3"))
+    monkeypatch.setattr(repkit, "ENUMERATION_CAP", 1)
+    with pytest.raises(monoid.EnumerationOverflow, match="ENUMERATION_CAP = 1"):
+        gk.presentation_of(gk.repkit_backed(E))
 
 
 def test_middle_beyond_a_bounded_catalogue_falls_back(monkeypatch):

@@ -59,6 +59,27 @@ class TestPresentationBasics:
                 "relation a = b"
             )
 
+    def test_dimvecs_on_some_generators_rejected(self):
+        with pytest.raises(monoid.InvalidPresentation, match="some generators"):
+            parse_presentation(
+                "generator a grade 1 dimvec (1,0)\ngenerator b grade 1\n"
+                "carrier all"
+            )
+
+    def test_dimvecs_of_unequal_length_rejected(self):
+        with pytest.raises(monoid.InvalidPresentation, match="unequal length"):
+            parse_presentation(
+                "generator A grade 1 dimvec (1,0)\n"
+                "generator B grade 2 dimvec (0,1,1)\ncarrier all"
+            )
+
+    def test_repeated_generator_rejected(self):
+        with pytest.raises(monoid.InvalidPresentation, match="declared twice"):
+            parse_presentation(
+                "generator a grade 1\ngenerator b grade 1\ngenerator a grade 2\n"
+                "carrier all\nrelation a + b = b + a"
+            )
+
     def test_zero_grade_rejected(self):
         with pytest.raises(monoid.InvalidPresentation):
             GeneratorTable(("a",), (0,))

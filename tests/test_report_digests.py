@@ -4,9 +4,11 @@ The stdout and exit status of `analyze --dot -` (the JSON report followed
 by the truncated Cayley quiver) for every torsion-free class over every
 orientation of A3 and A4, 392 classes, of `regress`, and of the JSON
 report of w0 over `1<2>3<4>5>6` and `1<2>3<4>5>6>7` (A6 and A7, about a
-second together), are compared by SHA-256 digest with
-`report_digests.txt`.  A change that alters the
-reports on purpose regenerates that file from the repository root with
+second together), and of the JSON reports of all 2112 torsion-free
+classes over the 16 orientations of A5, folded into one digest, are
+compared by SHA-256 digest with `report_digests.txt`.  A change that
+alters the reports on purpose regenerates that file from the repository
+root with
 
     PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.txt
 """
@@ -46,6 +48,15 @@ def report_lines() -> list[str]:
     lines.append(f"regress {_run('regress')}")
     for q, w0 in (("1<2>3<4>5>6", "7654321"), ("1<2>3<4>5>6>7", "87654321")):
         lines.append(f"{q} {w0} json {_run('analyze', '--quiver', q, '--w', w0)}")
+    a5 = hashlib.sha256()
+    count = 0
+    for dirs in product("><", repeat=4):
+        q = Orientation(5, dirs)
+        for w in enumerate_c_sortable(coxeter_element(q)):
+            argv = ("analyze", "--quiver", str(q), "--w", format_perm(w))
+            a5.update(f"{q} {format_perm(w)} {_run(*argv)}\n".encode())
+            count += 1
+    lines.append(f"A5 all {count} json {a5.hexdigest()}")
     return lines
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -73,56 +75,6 @@ class TestSimples:
             assert len(simples) >= len(support(w))
 
 
-class TestJhpVerdict:
-    def test_examples(self):
-        assert not typea.jhp_verdict(parse_perm("3412"), Q3)
-        assert typea.jhp_verdict(parse_perm("4312"), Q3)
-        assert typea.jhp_verdict(parse_perm("1234"), Q3)
-
-
-class TestStandardSequences:
-    def test_shapes(self):
-        s = typea.standard_sequences(1, 4, 2, Q3)
-        assert s.kind == "ex2" and str(s.sub) == "M[2,4)"
-        s = typea.standard_sequences(1, 4, 3, Q3)
-        assert s.kind == "ex1" and str(s.sub) == "M[1,3)"
-        s = typea.standard_sequences(1, 3, 2, parse_orientation("1<2"))
-        assert s.kind == "ex1" and str(s.sub) == "M[1,2)"
-
-    def test_bad_indices(self):
-        with pytest.raises(typea.IndexOutOfRange):
-            typea.standard_sequences(1, 5, 2, Q3)
-        with pytest.raises(typea.IndexOutOfRange):
-            typea.standard_sequences(2, 4, 2, Q3)
-
-    def test_sub_is_really_a_subrepresentation(self):
-        # oracle: the claimed submodule occurs among the subrepresentations
-        # of the middle with the claimed quotient
-        for q in (Q3, parse_orientation("1<2"), parse_orientation("1<2<3>4")):
-            mods, reps = typea.interval_catalogue(q)
-            E = repkit.Membership.full(
-                tuple(reps), labels=tuple(str(m) for m in mods)
-            )
-            n1 = q.n + 1
-            for i in range(1, n1):
-                for j in range(i + 2, n1 + 1):
-                    for l in range(i + 1, j):
-                        shape = typea.standard_sequences(i, j, l, q)
-                        middle = typea.interval_rep(shape.middle)
-                        found = False
-                        for S in repkit.enumerate_subreps(middle):
-                            if S.total_dim in (0, middle.total_dim):
-                                continue
-                            sub_cls = E.decompose(repkit.sub_rep(middle, S))
-                            quot_cls = E.decompose(repkit.quotient_rep(middle, S))
-                            if sub_cls == E.decompose(
-                                typea.interval_rep(shape.sub)
-                            ) and quot_cls == E.decompose(
-                                typea.interval_rep(shape.quotient)
-                            ):
-                                found = True
-                        assert found, (q, i, j, l)
-
     def test_splice_inside_class_forces_nonsimple(self):
         # whenever both halves of a splice lie in F(w), the middle is not
         # simple there
@@ -132,6 +84,46 @@ class TestStandardSequences:
                 for l in range(i + 1, j):
                     if (i, l) in inv and (l, j) in inv:
                         assert (i, j) not in bruhat_inversions(w)
+
+
+class TestJhpVerdict:
+    def test_examples(self):
+        assert not typea.jhp_verdict(parse_perm("3412"), Q3)
+        assert typea.jhp_verdict(parse_perm("4312"), Q3)
+        assert typea.jhp_verdict(parse_perm("1234"), Q3)
+
+
+class TestIntervalExtensions:
+    """The closed-form Ext rule against gluing over F2 and Hom counts."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rule_matches_gluings_on_every_orientation(self, n):
+        for dirs in product("><", repeat=n - 1):
+            q = Orientation(n, dirs)
+            mods, reps = typea.interval_catalogue(q)
+            full = repkit.Membership.full(tuple(reps))
+            decompose = lru_cache(maxsize=None)(full.decompose)
+            for i, k in product(range(len(mods)), repeat=2):
+                X, Z = mods[i], mods[k]
+                assert typea.hom_dim(Z, X) == repkit.hom_dim(reps[k], reps[i])
+                assert typea.ext_dim(Z, X) in (0, 1)
+                ends = Counter((i, k))
+                glued = {
+                    frozenset(decompose(Y).items())
+                    for Y in repkit._gluings(reps[i], reps[k])
+                } - {frozenset(ends.items())}
+                middle = typea.extension_middle(X, Z)
+                want = set()
+                if middle is not None:
+                    want.add(frozenset(Counter(mods.index(m) for m in middle).items()))
+                assert glued == want, (q, str(X), str(Z))
+
+    def test_adjacent_intervals_glue_into_their_union(self):
+        # M[1,2) is a submodule of M[1,3) over 1<2, with quotient M[2,3)
+        q = parse_orientation("1<2")
+        lo, hi = typea.IntervalModule(1, 2, q), typea.IntervalModule(2, 3, q)
+        assert typea.extension_middle(lo, hi) == (typea.IntervalModule(1, 3, q),)
+        assert typea.extension_middle(hi, lo) is None
 
 
 class TestCensus:
