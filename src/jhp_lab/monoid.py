@@ -155,6 +155,12 @@ class Presentation:
     ):
         self.gens = gens
         self.carrier = carrier
+        if carrier.kind == "dimvec" and gens.dimvecs:
+            n = len(gens.dimvecs[0])
+            if any(len(v) != n for v in carrier.vectors):
+                raise InvalidPresentation(
+                    f"carrier vectors must have the generators' length {n}"
+                )
         self.relations = tuple(
             (tuple(u), tuple(v)) for u, v in relations if tuple(u) != tuple(v)
         )
@@ -826,6 +832,14 @@ def cayley_quiver(P: Presentation, bound: int) -> str:
 _TERM = re.compile(r"(?:(\d+)\s*\*\s*)?(\S+)")
 
 
+def _parse_vector(text: str, raw: str) -> tuple[int, ...]:
+    """The entries of "2,0" in a vector "(2,0)" of the line raw."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidPresentation(f"bad vector ({text}) in {raw!r}") from None
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse the presentation format::
 
@@ -855,7 +869,7 @@ def parse_presentation(text: str) -> Presentation:
             names.append(m.group(1))
             grades.append(int(m.group(2)))
             if m.group(3) is not None:
-                dimvecs.append(tuple(int(x) for x in m.group(3).split(",")))
+                dimvecs.append(_parse_vector(m.group(3), raw))
         elif line.startswith("carrier"):
             rest = line[len("carrier"):].strip()
             if rest == "all":
@@ -863,7 +877,7 @@ def parse_presentation(text: str) -> Presentation:
             elif rest.startswith("dimvec-submonoid:"):
                 vecs = re.findall(r"\(([\d,\s]+)\)", rest)
                 carrier = Carrier.dimvec_submonoid(
-                    tuple(tuple(int(x) for x in v.split(",")) for v in vecs)
+                    tuple(_parse_vector(v, raw) for v in vecs)
                 )
             else:
                 raise InvalidPresentation(f"bad carrier line: {raw!r}")

@@ -89,36 +89,58 @@ def simple_reflection(rank: int, i: int) -> Perm:
 
 def inversions(w: Perm) -> frozenset[Transposition]:
     """All (i, j) with i < j whose letters appear out of order in w."""
-    pos = positions(w)
-    n1 = len(w)
-    return frozenset(
-        (i, j)
-        for i in range(1, n1)
-        for j in range(i + 1, n1 + 1)
-        if pos[j] < pos[i]
-    )
+    out = []
+    for p, a in enumerate(w):
+        for x in w[p + 1 :]:
+            if x < a:
+                out.append((x, a))
+    return frozenset(out)
 
 
 def length(w: Perm) -> int:
-    return len(inversions(w))
+    """The number of inversions of w."""
+    count = 0
+    for p, a in enumerate(w):
+        for x in w[p + 1 :]:
+            if x < a:
+                count += 1
+    return count
 
 
 def bruhat_inversions(w: Perm) -> frozenset[Transposition]:
     """Inversions (i, j) with no i < l < j splitting into two inversions.
 
     These are exactly the inversions t with length(t*w) = length(w) - 1,
-    i.e. the ones giving covers in the Bruhat order.
+    i.e. the ones giving covers in the Bruhat order.  One positional
+    scan: right of the letter a, a letter x < a forms one exactly when
+    every letter below a between them is also below x, that is when x
+    exceeds m, the largest letter below a seen so far.
     """
-    return bruhat_inversions_among(inversions(w))
+    out = []
+    for p, a in enumerate(w):
+        m = 0
+        for x in w[p + 1 :]:
+            if m < x < a:
+                out.append((x, a))
+                m = x
+    return frozenset(out)
 
 
-def bruhat_inversions_among(inv: frozenset[Transposition]) -> frozenset[Transposition]:
-    """The Bruhat inversions of the permutation whose inversion set is inv."""
-    return frozenset(
-        (i, j)
-        for (i, j) in inv
-        if not any((i, l) in inv and (l, j) in inv for l in range(i + 1, j))
-    )
+def inversions_and_bruhat(
+    w: Perm,
+) -> tuple[frozenset[Transposition], frozenset[Transposition]]:
+    """`inversions(w)` and `bruhat_inversions(w)` from one scan."""
+    inv = []
+    binv = []
+    for p, a in enumerate(w):
+        m = 0
+        for x in w[p + 1 :]:
+            if x < a:
+                inv.append((x, a))
+                if x > m:
+                    binv.append((x, a))
+                    m = x
+    return frozenset(inv), frozenset(binv)
 
 
 def support(w: Perm) -> frozenset[int]:
@@ -127,12 +149,13 @@ def support(w: Perm) -> frozenset[int]:
     i is a support iff some letter greater than i sits in the first i
     positions of the one-line word.
     """
-    out = set()
+    out = []
     top = 0
-    for k, x in enumerate(w[:-1], start=1):
-        top = max(top, x)
+    for k in range(1, len(w)):
+        if w[k - 1] > top:
+            top = w[k - 1]
         if top > k:
-            out.add(k)
+            out.append(k)
     return frozenset(out)
 
 

@@ -20,12 +20,12 @@ from .symgroup import (
     Orientation,
     Perm,
     bruhat_inversions,
-    bruhat_inversions_among,
     c_sorting_words,
     coxeter_element,
     enumerate_c_sortable,
     format_perm,
     inversions,
+    inversions_and_bruhat,
     is_c_sortable,
     support,
 )
@@ -104,16 +104,31 @@ def jhp_verdict(w: Perm, q: Orientation) -> bool:
 
 
 def census(q: Orientation) -> tuple[int, int, int]:
-    """(#torsion-free classes, #with JHP, #faithful with JHP)."""
+    """(#torsion-free classes, #with JHP, #faithful with JHP).
+
+    Each element needs only #supp and #Binv, counted by the scans of
+    `support` and `bruhat_inversions` without building either set.
+    """
     c = coxeter_element(q)
-    full = frozenset(range(1, q.n + 1))
     total = jhp = faithful_jhp = 0
     for w in enumerate_c_sortable(c):
         total += 1
-        supp = support(w)
-        if len(supp) == len(bruhat_inversions(w)):
+        n_supp = top = 0
+        for k in range(1, len(w)):
+            if w[k - 1] > top:
+                top = w[k - 1]
+            if top > k:
+                n_supp += 1
+        n_binv = 0
+        for p, a in enumerate(w):
+            m = 0
+            for x in w[p + 1 :]:
+                if m < x < a:
+                    n_binv += 1
+                    m = x
+        if n_supp == n_binv:
             jhp += 1
-            if supp == full:
+            if n_supp == q.n:
                 faithful_jhp += 1
     return total, jhp, faithful_jhp
 
@@ -144,37 +159,25 @@ def table_rows(q: Orientation, faithful_only: bool = False) -> list[TableRow]:
         supp = support(w)
         if faithful_only and supp != full:
             continue
-        inv = inversions(w)
-        binv = bruhat_inversions_among(inv)
+        inv, binv = inversions_and_bruhat(w)
         rows.append(TableRow(w, supp, inv, binv, len(binv), len(supp) == len(binv)))
     return rows
 
 
-def format_transposition_set(ts: frozenset[tuple[int, int]]) -> str:
-    return "{" + ",".join(f"({i},{j})" for i, j in sorted(ts)) + "}"
-
-
-def format_index_set(s: frozenset[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(s)) + "}"
-
-
 def rows_to_csv(rows: list[TableRow]) -> str:
     """CSV with one row per element; w is quoted when its ranks use commas."""
+    rank = len(rows[0].w) if rows else 0
+    pair = {(i, j): f"({i},{j})" for j in range(2, rank + 1) for i in range(1, j)}
     lines = ["w,supp,inv,Binv,nsimp,jhp"]
     for r in rows:
         w = format_perm(r.w)
-        lines.append(
-            ",".join(
-                [
-                    f'"{w}"' if "," in w else w,
-                    '"' + format_index_set(r.supp) + '"',
-                    '"' + format_transposition_set(r.inv) + '"',
-                    '"' + format_transposition_set(r.binv) + '"',
-                    str(r.n_simples),
-                    "true" if r.jhp else "false",
-                ]
-            )
-        )
+        if "," in w:
+            w = f'"{w}"'
+        supp = ",".join(map(str, sorted(r.supp)))
+        inv = ",".join([pair[t] for t in sorted(r.inv)])
+        binv = ",".join([pair[t] for t in sorted(r.binv)])
+        jhp = "true" if r.jhp else "false"
+        lines.append(f'{w},"{{{supp}}}","{{{inv}}}","{{{binv}}}",{r.n_simples},{jhp}')
     return "\n".join(lines) + "\n"
 
 

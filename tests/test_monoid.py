@@ -73,6 +73,18 @@ class TestPresentationBasics:
                 "generator B grade 2 dimvec (0,1,1)\ncarrier all"
             )
 
+    def test_empty_dimvec_rejected(self):
+        with pytest.raises(monoid.InvalidPresentation, match="bad vector"):
+            parse_presentation("generator a grade 1 dimvec ()\ncarrier all")
+
+    def test_carrier_vector_of_other_length_rejected(self):
+        with pytest.raises(monoid.InvalidPresentation, match="length 2"):
+            parse_presentation(
+                "generator a grade 1 dimvec (1,0)\n"
+                "generator b grade 1 dimvec (0,1)\n"
+                "carrier dimvec-submonoid: (1,0,0)"
+            )
+
     def test_repeated_generator_rejected(self):
         with pytest.raises(monoid.InvalidPresentation, match="declared twice"):
             parse_presentation(

@@ -5,8 +5,10 @@ by the truncated Cayley quiver) for every torsion-free class over every
 orientation of A3 and A4, 392 classes, of `regress`, and of the JSON
 report of w0 over `1<2>3<4>5>6` and `1<2>3<4>5>6>7` (A6 and A7, about a
 second together), and of the JSON reports of all 2112 torsion-free
-classes over the 16 orientations of A5, folded into one digest, are
-compared by SHA-256 digest with `report_digests.txt`.  A change that
+classes over the 16 orientations of A5, folded into one digest, and of
+`tables --which table1|table2|census` over every orientation with at
+most six vertices and over `1<2>3<4>5<6>7` and its opposite, are compared
+by SHA-256 digest with `report_digests.txt`.  A change that
 alters the reports on purpose regenerates that file from the repository
 root with
 
@@ -57,6 +59,13 @@ def report_lines() -> list[str]:
             a5.update(f"{q} {format_perm(w)} {_run(*argv)}\n".encode())
             count += 1
     lines.append(f"A5 all {count} json {a5.hexdigest()}")
+    quivers = [
+        str(Orientation(n, dirs)) for n in range(1, 7) for dirs in product("><", repeat=n - 1)
+    ]
+    # 1<2>3<4>5<6>7 is its own mirror image; the opposite orientation stands in
+    for q in quivers + ["1<2>3<4>5<6>7", "1>2<3>4<5>6<7"]:
+        for which in ("table1", "table2", "census"):
+            lines.append(f"tables {which} {q} {_run('tables', '--which', which, '--quiver', q)}")
     return lines
 
 

@@ -18,6 +18,7 @@ from jhp_lab.symgroup import (
     format_perm,
     identity_perm,
     inversions,
+    inversions_and_bruhat,
     is_231_avoiding,
     is_c_sortable,
     is_c_sortable_bruteforce,
@@ -100,6 +101,49 @@ class TestSupport:
     def test_matches_reduced_word_letters(self):
         for w in all_perms(5):
             assert support(w) == frozenset(reduced_word(w))
+
+
+class TestScansAgainstDefinitions:
+    """Every permutation of S1..S7 against the definitions, written out."""
+
+    @staticmethod
+    def oracle_inversions(w):
+        pos = {x: k for k, x in enumerate(w)}
+        n1 = len(w)
+        return frozenset(
+            (i, j)
+            for i in range(1, n1 + 1)
+            for j in range(i + 1, n1 + 1)
+            if pos[j] < pos[i]
+        )
+
+    @staticmethod
+    def oracle_bruhat(inv):
+        return frozenset(
+            (i, j)
+            for (i, j) in inv
+            if not any((i, l) in inv and (l, j) in inv for l in range(i + 1, j))
+        )
+
+    @staticmethod
+    def oracle_support(w):
+        return frozenset(
+            i for i in range(1, len(w)) if any(x > i for x in w[:i])
+        )
+
+    def test_exhaustive_up_to_s7(self):
+        checked = 0
+        for rank in range(1, 8):
+            for w in all_perms(rank):
+                inv = self.oracle_inversions(w)
+                binv = self.oracle_bruhat(inv)
+                assert inversions(w) == inv, w
+                assert bruhat_inversions(w) == binv, w
+                assert inversions_and_bruhat(w) == (inv, binv), w
+                assert support(w) == self.oracle_support(w), w
+                assert length(w) == len(inversions(w)), w
+                checked += 1
+        assert checked == 1 + 2 + 6 + 24 + 120 + 720 + 5040
 
 
 class TestSerialization:
