@@ -1,17 +1,19 @@
 """
 From categories to monoid presentations and decision reports.
 
-A category source has one of two shapes.  It carries a repkit
-membership (a type-A torsion-free class, a torsion-free class over a
-Nakayama algebra, or any summand-closed membership), whose relations
-`presentation_of` harvests from conflations with bounded middle length;
-or it carries a presentation in closed form (a dimension-vector-restricted
-class over the A2 algebra, a split semisimple class, or an explicit
-presentation), built once at construction, with a caveat naming where
-its relations come from.  `report` assembles the full verdict sheet:
-simple objects/atoms, completed-group rank and torsion, freeness (= the
-Jordan-Hoelder property), half-factoriality (= unique composition-series
-length), a bounded cancellativity scan, and the dimension-vector monoid.
+A category source has one of two shapes.  It carries a generator table
+and a relation function, whose relations `presentation_of` harvests from
+conflations with bounded middle length (a type-A torsion-free class
+reads them off interval endpoints and builds no representation; a
+Nakayama class or any summand-closed repkit membership glues
+representations over F2); or it carries a presentation in closed form
+(a dimension-vector-restricted class over the A2 algebra, a split
+semisimple class, or an explicit presentation), built once at
+construction, with a caveat naming where its relations come from.
+`report` assembles the full verdict sheet: simple objects/atoms,
+completed-group rank and torsion, freeness (= the Jordan-Hoelder
+property), half-factoriality (= unique composition-series length), a
+bounded cancellativity scan, and the dimension-vector monoid.
 
 Relation lists are truncated at the source's grade bound.  Atom detection
 only needs relations up to the largest generator grade (rewrites preserve
@@ -39,16 +41,16 @@ A2_GEN_DIMVECS = ((1, 0), (0, 1), (1, 1))
 
 @dataclass(eq=False)
 class CategorySource:
-    """One exact category: a membership whose relations are harvested from
+    """One exact category: generators whose relations are harvested from
     its conflations up to `grade_bound` (adaptively when None), or a
     presentation in closed form with a caveat naming where its relations
-    come from.  `extensions` supplies the harvest's extension relations,
-    with the signature of `repkit.extension_relations` (the default)."""
+    come from.  `relations(maxlen, above)` gives the harvested relations
+    as words over `gens`; the contract is `_harvested_presentation`'s."""
 
     label: str
-    membership: repkit.Membership | None = None
+    gens: GeneratorTable | None = None
+    relations: Callable | None = None
     grade_bound: int | None = None
-    extensions: Callable | None = None
     presentation: Presentation | None = None
     caveat: str = ""
 
@@ -56,11 +58,16 @@ class CategorySource:
 def typea_torsionfree(
     w: Perm, quiver: Orientation, grade_bound: int | None = None
 ) -> CategorySource:
+    mods = sorted(typea.class_of(w, quiver).modules)
     return CategorySource(
         label=f"typeA_torsionfree(w={format_perm(w)}, Q={quiver})",
-        membership=typea.torsion_free_membership(w, quiver),
+        gens=GeneratorTable(
+            tuple(map(str, mods)),
+            tuple(m.module_length for m in mods),
+            tuple(m.dimvec() for m in mods),
+        ),
+        relations=partial(typea.extension_relations, mods),
         grade_bound=grade_bound,
-        extensions=partial(typea.extension_relations, quiver),
     )
 
 
@@ -104,9 +111,12 @@ def nakayama_tf(
     ok, violations = nakayama.validate(kup, members)
     if not ok:
         raise InvalidSpec(f"not submodule-closed: {violations}")
+    membership = nakayama.class_membership(kup, frozenset(members))
+    gens, relations = _membership_harvest(membership)
     return CategorySource(
         label=f"nakayama_tf(kupisch={list(kup.lengths)}, cyclic={kup.cyclic})",
-        membership=nakayama.class_membership(kup, frozenset(members)),
+        gens=gens,
+        relations=relations,
         grade_bound=grade_bound,
     )
 
@@ -128,9 +138,11 @@ def abstract_source(
 def repkit_backed(
     membership: repkit.Membership, grade_bound: int | None = None
 ) -> CategorySource:
+    gens, relations = _membership_harvest(membership)
     return CategorySource(
         label=f"repkit_backed({membership.name})",
-        membership=membership,
+        gens=gens,
+        relations=relations,
         grade_bound=grade_bound,
     )
 
@@ -139,18 +151,36 @@ def repkit_backed(
 # presentations
 
 
+def _membership_harvest(E: repkit.Membership) -> tuple[GeneratorTable, Callable]:
+    """The live catalogue entries of a summand-closed membership, and its
+    relations over them: `repkit.extension_relations`, or the subspace
+    harvest `repkit.conflations_up_to` when `above` is None."""
+    live = E.live
+    reps = [E.catalogue[k] for k in live]
+    gens = GeneratorTable(
+        tuple(E.labels[k] for k in live),
+        tuple(r.total_dim for r in reps),
+        tuple(r.dims for r in reps),
+    )
+
+    def relations(maxlen: int, above: int | None):
+        if above is None:
+            pairs = repkit.conflations_up_to(E, maxlen)
+        else:
+            pairs = repkit.extension_relations(E, maxlen, above)
+        if pairs is None:
+            return None
+        return [tuple(tuple(w[k] for k in live) for w in pair) for pair in pairs]
+
+    return gens, relations
+
+
 def _harvested_presentation(
-    membership: repkit.Membership,
-    grade_bound: int | None,
-    extensions: Callable | None = None,
+    gens: GeneratorTable, relations: Callable, grade_bound: int | None
 ) -> Presentation:
     """Present the subcategory; harvest up to grade_bound, or adaptively.
 
-    The generators are the live catalogue entries on an `all` carrier:
-    the members must be exactly the sums of them, which holds for
-    summand-closed memberships only.  `repkit.extension_relations`
-    rejects the others.
-
+    The generators are the member indecomposables, on an `all` carrier.
     With an explicit bound, all conflations with middle length up to that
     bound are harvested.  Without one, the bound is raised from the
     largest generator grade (enough for exact atoms) until the harvested
@@ -160,69 +190,44 @@ def _harvested_presentation(
     the atoms would not be exact; it is rejected.
 
     Relations come from extensions of pairs of member indecomposables,
-    each pair looked at once across the bound steps.  `extensions`
-    supplies them for the pairs whose grades sum to more than the last
-    step's bound: the closed-form interval rule `typea.extension_relations`
-    for a type-A class, and by default `repkit.extension_relations`, which
-    glues each pair over F2 and classifies the middles by Hom counts.  For
-    extension-closed E this gives the same congruence: a decomposable end
-    X1 + X2 splits a conflation into one with end X1 and middle Y and one
-    with the shorter middle Y/X1 in E, dually for the other end.  After a
-    middle leaves E or its catalogue (`extensions` returns None), the
-    subspace harvest `repkit.conflations_up_to` runs instead,
-    re-harvesting at each bound step.
+    each pair looked at once across the bound steps: `relations(maxlen,
+    above)` gives them, sorted, for the pairs whose grades sum to more
+    than `above` and at most `maxlen` (`typea.extension_relations` reads
+    each middle off interval endpoints; `repkit.extension_relations`
+    glues each pair over F2 and classifies the middles by Hom counts).
+    For extension-closed E this gives the same congruence: a decomposable
+    end X1 + X2 splits a conflation into one with end X1 and middle Y and
+    one with the shorter middle Y/X1 in E, dually for the other end.
+    After a middle leaves E or its catalogue (`relations` returns None),
+    `relations(maxlen, None)` gives every conflation relation up to
+    `maxlen` (the subspace harvest), re-harvesting at each bound step.
     """
-    live = membership.live
-    names = tuple(membership.labels[k] for k in live)
-    grades = tuple(membership.catalogue[k].total_dim for k in live)
+    grades = gens.grades
     if grade_bound is not None and grade_bound < max(grades, default=0):
         raise InvalidSpec(
             f"harvest bound {grade_bound} is below the largest generator grade;"
             f" --bound must be at least {max(grades)} for exact atoms"
         )
-    dimvecs = tuple(membership.catalogue[k].dims for k in live)
-    gens = GeneratorTable(names, grades, dimvecs)
-    pos = {k: i for i, k in enumerate(live)}
-
-    def build(bound: int, pairs) -> Presentation:
-        relations = []
-        for lhs, rhs in pairs:
-            u = [0] * len(live)
-            v = [0] * len(live)
-            for k, mult in enumerate(lhs):
-                if mult:
-                    u[pos[k]] = mult
-            for k, mult in enumerate(rhs):
-                if mult:
-                    v[pos[k]] = mult
-            relations.append((tuple(u), tuple(v)))
-        return Presentation(
-            gens, Carrier.all_words(), tuple(relations), relation_grade_bound=bound
-        )
-
     if grade_bound is not None:
         bounds = (grade_bound,)
     else:
         top = max(grades, default=1)
         bounds = range(top, 2 * top + 1)
-    if extensions is None:
-        extensions = repkit.extension_relations
     # extension pairs looked at so far (None: subspace harvest), up to `glued`
     found: set | None = set()
     glued = 0
     for bound in bounds:
         if found is not None:
-            new = extensions(membership, bound, above=glued)
+            new = relations(bound, glued)
             if new is None:
                 found = None  # a middle left E or its catalogue
             else:
                 found.update(new)
                 glued = bound
-        if found is None:
-            pairs = repkit.conflations_up_to(membership, bound)
-        else:
-            pairs = sorted(found)
-        pres = build(bound, pairs)
+        pairs = relations(bound, None) if found is None else sorted(found)
+        pres = Presentation(
+            gens, Carrier.all_words(), tuple(pairs), relation_grade_bound=bound
+        )
         if grade_bound is not None or relation_lattice_certified(pres):
             break
     return pres
@@ -274,14 +279,13 @@ def _a2_presentation(m: int, n: int, grade_bound: int) -> Presentation:
 def presentation_of(src: CategorySource) -> Presentation:
     """The graded monoid presentation of a category source.
 
-    For a membership, generators are its indecomposables and relations
-    are middle-versus-ends pairs of all conflations with middle length at
-    most the source's grade bound; otherwise the source's own presentation.
+    For a harvested source, generators are its member indecomposables and
+    relations are middle-versus-ends pairs of all conflations with middle
+    length at most the source's grade bound; otherwise the source's own
+    presentation.
     """
-    if src.membership is not None:
-        return _harvested_presentation(
-            src.membership, src.grade_bound, src.extensions
-        )
+    if src.relations is not None:
+        return _harvested_presentation(src.gens, src.relations, src.grade_bound)
     return src.presentation
 
 
@@ -364,7 +368,7 @@ def report(src: CategorySource) -> MonoidReport:
         (
             "relations harvested exhaustively from conflations with middle"
             f" length <= {bound}"
-            if src.membership is not None
+            if src.relations is not None
             else src.caveat
         ),
         _saturation_caveat(pres),
@@ -495,7 +499,7 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
         labels=labels,
         name="kronecker-no-source-socle",
     )
-    pres = _harvested_presentation(membership, bound)
+    pres = presentation_of(repkit_backed(membership, bound))
 
     regular_idx = [k for k, r in enumerate(members) if r.dims == (1, 1)]
     part2 = monoid.stratum_classes(pres, 2)

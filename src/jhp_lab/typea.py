@@ -205,19 +205,12 @@ def interval_rep(m: IntervalModule, algebra: repkit.PresentedAlgebra | None = No
     return repkit.Rep(algebra, dims, tuple(maps))
 
 
-def intervals(q: Orientation) -> list[IntervalModule]:
-    """All interval modules of the orientation, in catalogue order."""
-    return [
-        IntervalModule(i, j, q)
-        for i in range(1, q.n + 1)
-        for j in range(i + 1, q.n + 2)
-    ]
-
-
 def interval_catalogue(q: Orientation) -> tuple[list[IntervalModule], list[repkit.Rep]]:
     """All interval modules of the orientation, with their explicit reps."""
     algebra = path_algebra(q)
-    mods = intervals(q)
+    mods = [
+        IntervalModule(i, j, q) for i in range(1, q.n + 1) for j in range(i + 1, q.n + 2)
+    ]
     return mods, [interval_rep(m, algebra) for m in mods]
 
 
@@ -293,33 +286,35 @@ def extension_middle(
 
 
 def extension_relations(
-    q: Orientation, E: repkit.Membership, maxlen: int, above: int = 0
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
-    """`repkit.extension_relations` for a class over `interval_catalogue(q)`,
-    with each middle read off the endpoints by `extension_middle`.
-
-    The same pairs, sorted, or None as soon as a middle has a summand
-    outside E; the middle length is bounded by `dimension_bound()` as
-    there.  No representation is built or glued.
+    mods: list[IntervalModule], maxlen: int, above: int = 0
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Middle-vs-ends relation pairs, sorted, as words over the members
+    `mods` of F(w): those of `repkit.extension_relations` over
+    `torsion_free_membership`, each middle read off the endpoints by
+    `extension_middle`, with no representation built or glued.  The
+    middle length is bounded by `dimension_bound()` as there.  F(w) is
+    extension-closed, so a middle summand outside `mods` is an internal
+    inconsistency.
     """
     bound = repkit.dimension_bound()
     if maxlen > bound:
         raise repkit.DimensionBoundExceeded(f"middle length {maxlen}", bound)
-    mods = intervals(q)
     index = {m: k for k, m in enumerate(mods)}
+
+    def word(summands) -> tuple[int, ...]:
+        out = [0] * len(mods)
+        for m in summands:
+            if m not in index:
+                raise repkit.InternalInconsistency(f"extension middle {m} outside F(w)")
+            out[index[m]] += 1
+        return tuple(out)
+
     pairs: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    live = E.live
-    for i in live:
-        for k in live:
-            X, Z = mods[i], mods[k]
-            if not above < X.module_length + Z.module_length <= maxlen:
-                continue
-            middle = extension_middle(X, Z)
-            if middle is None:
-                continue
-            classes = [index[m] for m in middle]
-            if not E.allows(classes):
-                return None
-            # a non-split middle is never X + Z, so the two words differ
-            pairs.add((repkit._word_of(E, classes), repkit._word_of(E, (i, k))))
+    for X in mods:
+        for Z in mods:
+            if above < X.module_length + Z.module_length <= maxlen:
+                middle = extension_middle(X, Z)
+                # a non-split middle is never X + Z, so the two words differ
+                if middle is not None:
+                    pairs.add((word(middle), word((X, Z))))
     return sorted(pairs)

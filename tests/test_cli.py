@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from jhp_lab import cli, grothendieck, monoid, repkit
-from jhp_lab.symgroup import parse_perm
+from jhp_lab import cli, grothendieck, monoid, repkit, typea
+from jhp_lab.symgroup import parse_orientation, parse_perm
 
 
 def run(capsys, *argv):
@@ -150,6 +150,15 @@ class TestAnalyze:
         monkeypatch.setattr(grothendieck, "report", broken)
         code, _, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "3412")
         assert code == 5 and err == "internal error: planted\n"
+
+    def test_middle_outside_the_class_exit5(self, capsys, monkeypatch):
+        # F(3412) is extension-closed and has no M[1,2): a middle there is
+        # an internal error, with no other harvest to fall back on
+        outside = typea.IntervalModule(1, 2, parse_orientation("1>2<3"))
+        monkeypatch.setattr(typea, "extension_middle", lambda X, Z: (outside,))
+        code, out, err = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "3412")
+        assert code == 5 and out == ""
+        assert err.startswith("internal error: ") and "M[1,2)" in err
 
     def test_word_cap_exceeded_names_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(monoid, "WORD_CAP", 2)

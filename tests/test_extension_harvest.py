@@ -4,8 +4,8 @@
 `typea.extension_relations` reads the middles of interval modules off
 their endpoints; `repkit.conflations_up_to` enumerates every subobject of
 every direct sum and stays the oracle.  Forcing `extension_relations` to
-report "not extension-closed" makes `_harvested_presentation` run the
-subspace harvest through the same adaptive loop.
+report "not extension-closed" makes `presentation_of` run the subspace
+harvest through the same adaptive loop.
 """
 from collections import Counter
 from functools import lru_cache
@@ -28,7 +28,7 @@ from jhp_lab.symgroup import (
 def subspace_presentation(monkeypatch, E, grade_bound=None):
     with monkeypatch.context() as m:
         m.setattr(repkit, "extension_relations", lambda *args, **kw: None)
-        return gk._harvested_presentation(E, grade_bound)
+        return gk.presentation_of(gk.repkit_backed(E, grade_bound))
 
 
 def shape(pres):
@@ -83,7 +83,7 @@ def test_extension_harvest_matches_subspace_oracle(monkeypatch):
     for E in oracle_memberships():
         with monkeypatch.context() as m:
             m.setattr(repkit, "conflations_up_to", no_fallback)
-            got = verdicts(gk._harvested_presentation(E, None))
+            got = verdicts(gk.presentation_of(gk.repkit_backed(E)))
         want = verdicts(subspace_presentation(monkeypatch, E))
         assert got == want, E.name
         count += 1
@@ -132,7 +132,7 @@ def test_adaptive_loop_glues_each_pair_once(monkeypatch):
 
 def test_interval_rule_looks_at_each_pair_once(monkeypatch):
     E = typea.torsion_free_membership(W_34512, Q_34512)
-    mods = typea.intervals(Q_34512)
+    mods = sorted(typea.class_of(W_34512, Q_34512).modules)
     looked = Counter()
     real_middle = typea.extension_middle
 
@@ -140,34 +140,41 @@ def test_interval_rule_looks_at_each_pair_once(monkeypatch):
         looked[mods.index(X), mods.index(Z)] += 1
         return real_middle(X, Z)
 
-    def no_gluing(*args):
+    def no_gluing(*args, **kw):
         raise AssertionError("the interval rule glued a pair")
+
+    def no_representation(*args, **kw):
+        raise AssertionError("the interval rule built a representation")
 
     monkeypatch.setattr(typea, "extension_middle", counting_middle)
     monkeypatch.setattr(repkit, "_gluings", no_gluing)
     monkeypatch.setattr(repkit, "hom_dim", no_gluing)
+    monkeypatch.setattr(repkit.Rep, "__post_init__", no_representation)
+    monkeypatch.setattr(repkit.Membership, "__init__", no_representation)
     pres = gk.presentation_of(gk.typea_torsionfree(W_34512, Q_34512))
     assert pres.relation_grade_bound == 5
-    grade = {k: mods[k].module_length for k in E.live}
+    grade = {k: m.module_length for k, m in enumerate(mods)}
     assert set(looked) == {
-        (i, k) for i in E.live for k in E.live if grade[i] + grade[k] <= 5
+        (i, k) for i in grade for k in grade if grade[i] + grade[k] <= 5
     }
     assert max(looked.values()) == 1
     once = gk.presentation_of(gk.typea_torsionfree(W_34512, Q_34512, 5))
     monkeypatch.undo()
     assert shape(pres) == shape(once)
-    assert shape(pres) == shape(gk._harvested_presentation(E, None))
+    assert shape(pres) == shape(gk.presentation_of(gk.repkit_backed(E)))
 
 
 def test_interval_rule_gives_the_gluing_presentation():
     # same relation words in the same order, class by class
-    for n in (3, 4):
-        for dirs in product("><", repeat=n - 1):
-            q = Orientation(n, dirs)
-            for w in enumerate_c_sortable(coxeter_element(q)):
-                src = gk.typea_torsionfree(w, q)
-                generic = gk._harvested_presentation(src.membership, None)
-                assert shape(gk.presentation_of(src)) == shape(generic), (q, w)
+    quivers = [
+        Orientation(n, dirs) for n in (3, 4) for dirs in product("><", repeat=n - 1)
+    ]
+    quivers += [parse_orientation("1<2>3<4>5"), parse_orientation("1>2<3>4<5")]
+    for q in quivers:
+        for w in enumerate_c_sortable(coxeter_element(q)):
+            generic = gk.repkit_backed(typea.torsion_free_membership(w, q))
+            got = gk.presentation_of(gk.typea_torsionfree(w, q))
+            assert shape(got) == shape(gk.presentation_of(generic)), (q, w)
 
 
 def extension_middles(reps, full):
@@ -213,7 +220,7 @@ def test_closure_detected_on_every_a3_subset(monkeypatch, text):
             # the adaptive loop falls back once it meets an escaping middle;
             # one that escapes above the stop bound leaves the congruence
             # unchanged up to it
-            pres = gk._harvested_presentation(E, None)
+            pres = gk.presentation_of(gk.repkit_backed(E))
             oracle = subspace_presentation(monkeypatch, E)
             assert verdicts(pres) == verdicts(oracle), sorted(allowed)
             bound = pres.relation_grade_bound
@@ -250,7 +257,7 @@ def test_middle_beyond_a_bounded_catalogue_falls_back(monkeypatch):
     assert repkit.extension_relations(E, 3) is not None
     assert repkit.extension_relations(E, 4) is None
     for grade_bound in (None, 3, 4):
-        pres = gk._harvested_presentation(E, grade_bound)
+        pres = gk.presentation_of(gk.repkit_backed(E, grade_bound))
         oracle = subspace_presentation(monkeypatch, E, grade_bound)
         assert shape(pres) == shape(oracle), grade_bound
     assert pres.relation_grade_bound == 4
