@@ -44,8 +44,9 @@ class CategorySource:
     """One exact category: generators whose relations are harvested from
     its conflations up to `grade_bound` (adaptively when None), or a
     presentation in closed form with a caveat naming where its relations
-    come from.  `relations(maxlen, above)` gives the harvested relations
-    as words over `gens`; the contract is `_harvested_presentation`'s."""
+    come from.  `relations(maxlen, above)` gives, sorted, the harvested
+    relations as words over `gens` whose middle grade g has
+    above < g <= maxlen, and raises when a middle leaves the class."""
 
     label: str
     gens: GeneratorTable | None = None
@@ -113,6 +114,9 @@ def nakayama_tf(
         raise InvalidSpec(f"not submodule-closed: {violations}")
     membership = nakayama.class_membership(kup, frozenset(members))
     gens, relations = _membership_harvest(membership)
+    # every ordered pair of members, a member with itself too: the catalogue
+    # is complete, so this raises exactly when a middle leaves the class
+    repkit.extension_relations(membership, 2 * max(gens.grades, default=0))
     return CategorySource(
         label=f"nakayama_tf(kupisch={list(kup.lengths)}, cyclic={kup.cyclic})",
         gens=gens,
@@ -153,8 +157,8 @@ def repkit_backed(
 
 def _membership_harvest(E: repkit.Membership) -> tuple[GeneratorTable, Callable]:
     """The live catalogue entries of a summand-closed membership, and its
-    relations over them: `repkit.extension_relations`, or the subspace
-    harvest `repkit.conflations_up_to` when `above` is None."""
+    relations over them from `repkit.extension_relations`, which checks
+    extension closure only on the pairs it looks at."""
     live = E.live
     reps = [E.catalogue[k] for k in live]
     gens = GeneratorTable(
@@ -163,14 +167,11 @@ def _membership_harvest(E: repkit.Membership) -> tuple[GeneratorTable, Callable]
         tuple(r.dims for r in reps),
     )
 
-    def relations(maxlen: int, above: int | None):
-        if above is None:
-            pairs = repkit.conflations_up_to(E, maxlen)
-        else:
-            pairs = repkit.extension_relations(E, maxlen, above)
-        if pairs is None:
-            return None
-        return [tuple(tuple(w[k] for k in live) for w in pair) for pair in pairs]
+    def relations(maxlen: int, above: int):
+        return [
+            tuple(tuple(w[k] for k in live) for w in pair)
+            for pair in repkit.extension_relations(E, maxlen, above)
+        ]
 
     return gens, relations
 
@@ -190,17 +191,13 @@ def _harvested_presentation(
     the atoms would not be exact; it is rejected.
 
     Relations come from extensions of pairs of member indecomposables,
-    each pair looked at once across the bound steps: `relations(maxlen,
-    above)` gives them, sorted, for the pairs whose grades sum to more
-    than `above` and at most `maxlen` (`typea.extension_relations` reads
-    each middle off interval endpoints; `repkit.extension_relations`
-    glues each pair over F2 and classifies the middles by Hom counts).
-    For extension-closed E this gives the same congruence: a decomposable
-    end X1 + X2 splits a conflation into one with end X1 and middle Y and
-    one with the shorter middle Y/X1 in E, dually for the other end.
-    After a middle leaves E or its catalogue (`relations` returns None),
-    `relations(maxlen, None)` gives every conflation relation up to
-    `maxlen` (the subspace harvest), re-harvesting at each bound step.
+    each pair looked at once across the bound steps (the contract of
+    `CategorySource.relations`).  For extension-closed E they give the
+    congruence of all conflations: a decomposable end X1 + X2 splits a
+    conflation into one with end X1 and middle Y and one with the shorter
+    middle Y/X1 in E, dually for the other end.  A middle outside E or its
+    catalogue raises InvalidSpec; closure is checked only on the pairs
+    looked at (`nakayama_tf` checks every pair).
     """
     grades = gens.grades
     if grade_bound is not None and grade_bound < max(grades, default=0):
@@ -208,25 +205,13 @@ def _harvested_presentation(
             f"harvest bound {grade_bound} is below the largest generator grade;"
             f" --bound must be at least {max(grades)} for exact atoms"
         )
-    if grade_bound is not None:
-        bounds = (grade_bound,)
-    else:
-        top = max(grades, default=1)
-        bounds = range(top, 2 * top + 1)
-    # extension pairs looked at so far (None: subspace harvest), up to `glued`
-    found: set | None = set()
-    glued = 0
-    for bound in bounds:
-        if found is not None:
-            new = relations(bound, glued)
-            if new is None:
-                found = None  # a middle left E or its catalogue
-            else:
-                found.update(new)
-                glued = bound
-        pairs = relations(bound, None) if found is None else sorted(found)
+    top = max(grades, default=1)
+    bounds = (grade_bound,) if grade_bound is not None else range(top, 2 * top + 1)
+    found: set = set()  # relations of the pairs looked at so far
+    for above, bound in zip((0, *bounds), bounds):
+        found.update(relations(bound, above))
         pres = Presentation(
-            gens, Carrier.all_words(), tuple(pairs), relation_grade_bound=bound
+            gens, Carrier.all_words(), tuple(sorted(found)), relation_grade_bound=bound
         )
         if grade_bound is not None or relation_lattice_certified(pres):
             break
@@ -241,9 +226,7 @@ def relation_lattice_certified(pres: Presentation) -> bool:
     if pres.carrier.kind != "all" or pres.gens.dimvecs is None:
         return False
     gc = monoid.group_completion(pres)
-    ngen = len(pres.gens)
-    ker_rank = ngen - _integer_rank([list(dv) for dv in pres.gens.dimvecs])
-    return not gc.invariant_factors and (ngen - gc.rank) == ker_rank
+    return not gc.invariant_factors and gc.rank == pres.gens.dimvec_rank
 
 
 def a2_middles(x: tuple, z: tuple):
@@ -331,13 +314,6 @@ class MonoidReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-def _integer_rank(rows: list[list[int]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    D, _, _ = monoid.smith_normal_form(rows)
-    return sum(1 for k in range(min(len(D), len(D[0]))) if D[k][k])
 
 
 def _saturation_caveat(pres: Presentation) -> str:

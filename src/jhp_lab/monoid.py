@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from operator import le, mul
 
@@ -66,6 +67,12 @@ class GeneratorTable:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def dimvec_rank(self) -> int:
+        """Rank of the generators' dimension-vector matrix."""
+        D = smith_normal_form([list(dv) for dv in self.dimvecs or ()])[0]
+        return sum(1 for k, row in enumerate(D) if k < len(row) and row[k])
 
     def grade(self, word: Word) -> int:
         return sum(map(mul, word, self.grades))

@@ -15,9 +15,10 @@ torsion-free class, `typea.extension_relations` reads the middle of each
 extension of two interval modules off their endpoints (a closed-form Ext
 rule; no representation is built).  For other summand-closed memberships,
 `extension_relations` here glues pairs of member indecomposables over F2
-and classifies each middle by Hom counts.  `conflations_up_to` walks every
-subobject of every direct sum of members (any membership): it is the
-fallback when a middle leaves the class, and the oracle of the tests.
+and classifies each middle by Hom counts; a middle outside the class or
+its catalogue is refused, since only extension-closed classes are exact.
+`conflations_up_to` walks every subobject of every direct sum of members
+(any membership): it is the oracle of the tests.
 The two extension sources give, for extension-closed E, the same
 congruence at each middle length: an end X1 + X2 of 0 -> X -> Y -> Z -> 0
 splits it into 0 -> X1 -> Y -> Y/X1 -> 0 and 0 -> X2 -> Y/X1 -> Z -> 0,
@@ -1134,16 +1135,17 @@ def _gluings(X: Rep, Z: Rep):
 
 def extension_relations(
     E: Membership, maxlen: int, above: int = 0
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]] | None:
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Middle-vs-ends relation pairs from extensions of two indecomposables.
 
     For each ordered pair (X, Z) of live catalogue entries with
     above < grade(X) + grade(Z) <= maxlen, every non-split gluing Y of Z by
     X is classified once by Hom counts, and (word of Y, word of X plus
-    word of Z) is kept when the two differ.  Returns the pairs sorted, or
-    None as soon as some Y has a summand outside E, or one outside a
-    catalogue that is complete only up to some dimension: E is then not
-    extension-closed, or not within its catalogue's reach.
+    word of Z) is kept when the two differ.  Returns the pairs sorted.
+    Raises InvalidSpec as soon as some Y has a summand outside E (E is not
+    extension-closed), or one outside a catalogue that is complete only up
+    to some dimension (E is not within its catalogue's reach); only the
+    pairs looked at are checked.
 
     For E summand- and extension-closed these generate, at every middle
     length s <= maxlen, the congruence of all conflations with middle
@@ -1164,13 +1166,19 @@ def extension_relations(
             if not above < X.total_dim + Z.total_dim <= maxlen:
                 continue
             ends = _word_of(E, (i, k))
+            pair = f"({E.labels[i]}, {E.labels[k]})"
             for Y in _gluings(X, Z):
                 try:
                     classes = E.decompose(Y)
                 except NegativeMultiplicity:
-                    return None  # a summand outside the catalogue, so outside E
+                    raise InvalidSpec(
+                        f"{E.name}: a middle of {pair} lies outside the catalogue"
+                    ) from None
                 if not E.allows(classes):
-                    return None
+                    raise InvalidSpec(
+                        f"{E.name} is not extension-closed: a middle of {pair}"
+                        " lies outside it"
+                    )
                 word = _word_of(E, classes.elements())
                 if word != ends:
                     pairs.add((word, ends))

@@ -254,12 +254,20 @@ def hom_dim(Z: IntervalModule, X: IntervalModule) -> int:
 
 def euler_form(Z: IntervalModule, X: IntervalModule) -> int:
     """<dim Z, dim X>: sum over vertices v of z_v x_v, minus the sum over
-    arrows s -> t of z_s x_t."""
-    shared = max(0, min(X.j, Z.j) - max(X.i, Z.i))
-    crossing = sum(
-        1 for s, t in X.quiver.arrows() if Z.i <= s < Z.j and X.i <= t < X.j
-    )
-    return shared - crossing
+    arrows s -> t of z_s x_t.  The supports meet in p..r-1; every arrow
+    inside the overlap runs from Z into X, so only the two at its ends
+    are left to check."""
+    p, r = max(X.i, Z.i), min(X.j, Z.j)
+    if p > r:
+        return 0
+
+    def crosses(l: int) -> bool:  # does the arrow between l-1 and l run Z -> X?
+        if not 1 < l <= X.quiver.n:
+            return False
+        s, t = (l, l - 1) if X.quiver.arrow_points_left(l) else (l - 1, l)
+        return Z.i <= s < Z.j and X.i <= t < X.j
+
+    return (r - p) - max(0, r - p - 1) - crosses(p) - (r != p and crosses(r))
 
 
 def ext_dim(Z: IntervalModule, X: IntervalModule) -> int:

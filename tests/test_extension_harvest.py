@@ -3,14 +3,13 @@
 `repkit.extension_relations` glues pairs of indecomposables, and
 `typea.extension_relations` reads the middles of interval modules off
 their endpoints; `repkit.conflations_up_to` enumerates every subobject of
-every direct sum and stays the oracle.  Forcing `extension_relations` to
-report "not extension-closed" makes `presentation_of` run the subspace
-harvest through the same adaptive loop.
+every direct sum and stays the oracle.  `subspace_presentation` runs it
+through the same adaptive loop as a `CategorySource` of its own.
 """
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 
@@ -25,10 +24,30 @@ from jhp_lab.symgroup import (
 )
 
 
-def subspace_presentation(monkeypatch, E, grade_bound=None):
-    with monkeypatch.context() as m:
-        m.setattr(repkit, "extension_relations", lambda *args, **kw: None)
-        return gk.presentation_of(gk.repkit_backed(E, grade_bound))
+def subspace_presentation(E, grade_bound=None):
+    """The presentation of E with every conflation relation whose middle
+    grade the adaptive loop asks for, walked over subspaces."""
+    live = E.live
+    grades = [c.total_dim for c in E.catalogue]
+
+    def relations(maxlen, above):
+        return [
+            tuple(tuple(w[k] for k in live) for w in pair)
+            for pair in repkit.conflations_up_to(E, maxlen)
+            if sum(map(mul, pair[0], grades)) > above
+        ]
+
+    src = gk.CategorySource(
+        "subspaces",
+        gens=gk.repkit_backed(E).gens,
+        relations=relations,
+        grade_bound=grade_bound,
+    )
+    return gk.presentation_of(src)
+
+
+def no_subspace_walk(*args, **kw):
+    raise AssertionError("the extension harvest walked subspaces")
 
 
 def shape(pres):
@@ -76,15 +95,12 @@ def oracle_memberships():
 
 
 def test_extension_harvest_matches_subspace_oracle(monkeypatch):
-    def no_fallback(*args, **kw):
-        raise AssertionError("the extension harvest fell back")
-
     count = 0
     for E in oracle_memberships():
         with monkeypatch.context() as m:
-            m.setattr(repkit, "conflations_up_to", no_fallback)
+            m.setattr(repkit, "conflations_up_to", no_subspace_walk)
             got = verdicts(gk.presentation_of(gk.repkit_backed(E)))
-        want = verdicts(subspace_presentation(monkeypatch, E))
+        want = verdicts(subspace_presentation(E))
         assert got == want, E.name
         count += 1
     # A3/A4, one A5 orientation, four A5 w0 classes, 14 + 7 Nakayama
@@ -203,30 +219,37 @@ def test_closure_detected_on_every_a3_subset(monkeypatch, text):
     mods, reps = typea.interval_catalogue(parse_orientation(text))
     labels = tuple(str(m) for m in mods)
     middles = extension_middles(reps, repkit.Membership.full(tuple(reps)))
-    closed_count = 0
+    closed_count = refused = 0
     for mask in range(1, 1 << len(reps)):
         allowed = frozenset(k for k in range(len(reps)) if mask >> k & 1)
         E = repkit.Membership.additive(tuple(reps), allowed, labels=labels)
-        table = repkit.extension_relations(E, 6)
         closed = all(
             summands <= allowed
             for (i, k), found in middles.items()
             if i in allowed and k in allowed
             for summands in found
         )
-        assert (table is not None) == closed, sorted(allowed)
         closed_count += closed
-        if table is None:
-            # the adaptive loop falls back once it meets an escaping middle;
-            # one that escapes above the stop bound leaves the congruence
-            # unchanged up to it
-            pres = gk.presentation_of(gk.repkit_backed(E))
-            oracle = subspace_presentation(monkeypatch, E)
-            assert verdicts(pres) == verdicts(oracle), sorted(allowed)
-            bound = pres.relation_grade_bound
-            if repkit.extension_relations(E, bound) is None:
-                assert shape(pres) == shape(oracle), sorted(allowed)
+        if closed:
+            repkit.extension_relations(E, 6)
+        else:
+            with pytest.raises(repkit.InvalidSpec, match="not extension-closed"):
+                repkit.extension_relations(E, 6)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(repkit, "conflations_up_to", no_subspace_walk)
+                pres = gk.presentation_of(gk.repkit_backed(E))
+        except repkit.InvalidSpec:
+            assert not closed, sorted(allowed)
+            refused += 1
+            continue
+        # a middle that escapes above the stop bound leaves the congruence
+        # unchanged up to it
+        repkit.extension_relations(E, pres.relation_grade_bound)
+        assert verdicts(pres) == verdicts(subspace_presentation(E)), sorted(allowed)
     assert 0 < closed_count < 63
+    # 12 on each orientation; the other 51 subsets are presented
+    assert refused == 12
 
 
 def test_predicate_membership_is_refused():
@@ -245,19 +268,19 @@ def test_gluing_cap_names_limit(monkeypatch):
         gk.presentation_of(gk.repkit_backed(E))
 
 
-def test_middle_beyond_a_bounded_catalogue_falls_back(monkeypatch):
+def test_middle_beyond_a_bounded_catalogue_is_refused():
     # the Kronecker class of the demo, catalogued up to total dimension 3:
-    # gluings of length 4 leave the catalogue, so bound 4 is harvested from
-    # subspaces, as before the extension harvest
+    # gluings of length 4 leave the catalogue, so only bound 3 is presented
     algebra = gk.kronecker_algebra()
     indecs = repkit.brute_force_catalogue(algebra, (3, 3), 3)
     members = [r for r in indecs if gk._no_split_socle(r)]
     catalogue = tuple(members + [r for r in indecs if not gk._no_split_socle(r)])
     E = repkit.Membership.additive(catalogue, frozenset(range(len(members))))
-    assert repkit.extension_relations(E, 3) is not None
-    assert repkit.extension_relations(E, 4) is None
-    for grade_bound in (None, 3, 4):
-        pres = gk.presentation_of(gk.repkit_backed(E, grade_bound))
-        oracle = subspace_presentation(monkeypatch, E, grade_bound)
-        assert shape(pres) == shape(oracle), grade_bound
-    assert pres.relation_grade_bound == 4
+    repkit.extension_relations(E, 3)
+    with pytest.raises(repkit.InvalidSpec, match="catalogue"):
+        repkit.extension_relations(E, 4)
+    pres = gk.presentation_of(gk.repkit_backed(E, 3))
+    assert shape(pres) == shape(subspace_presentation(E, 3))
+    for grade_bound in (None, 4):
+        with pytest.raises(repkit.InvalidSpec, match="catalogue"):
+            gk.presentation_of(gk.repkit_backed(E, grade_bound))

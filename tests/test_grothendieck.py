@@ -53,6 +53,13 @@ class TestSourceContracts:
         with pytest.raises(gk.InvalidSpec, match="submodule-closed"):
             gk.nakayama_tf(kup, frozenset({nakayama.Uniserial(3, 3)}))
 
+    def test_nakayama_rejects_members_not_extension_closed(self):
+        # submodule-closed, but P2 extends S2 by S1; the harvest stops at
+        # bound 1 and looks at no pair, so this once read jhp true
+        kup = nakayama.parse_kupisch("kupisch: 2,1")
+        with pytest.raises(gk.InvalidSpec, match="not extension-closed"):
+            gk.nakayama_tf(kup, nakayama.parse_class("1:1, 2:1"))
+
     @pytest.mark.parametrize("m, n", [(0, 0), (-1, 2), (1, -1)])
     def test_a2_rejects_zero_or_negative_vector(self, m, n):
         with pytest.raises(gk.InvalidSpec):

@@ -125,6 +125,26 @@ class TestIntervalExtensions:
         assert typea.extension_middle(lo, hi) == (typea.IntervalModule(1, 3, q),)
         assert typea.extension_middle(hi, lo) is None
 
+    def test_euler_form_matches_the_arrow_sum(self):
+        # <dim Z, dim X> summed over every vertex and every arrow s -> t
+        count = 0
+        for n in range(1, 7):
+            for dirs in product("><", repeat=n - 1):
+                q = Orientation(n, dirs)
+                intervals = [
+                    typea.IntervalModule(i, j, q)
+                    for i in range(1, n + 1)
+                    for j in range(i + 1, n + 2)
+                ]
+                for Z, X in product(intervals, repeat=2):
+                    z, x = Z.dimvec(), X.dimvec()
+                    want = sum(a * b for a, b in zip(z, x)) - sum(
+                        z[s - 1] * x[t - 1] for s, t in q.arrows()
+                    )
+                    assert typea.euler_form(Z, X) == want, (q, str(Z), str(X))
+                    count += 1
+        assert count == 18_675
+
 
 class TestCensus:
     def test_known_quivers(self):
