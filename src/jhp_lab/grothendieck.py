@@ -116,11 +116,20 @@ def nakayama_tf(
     gens, relations = _membership_harvest(membership)
     # every ordered pair of members, a member with itself too: the catalogue
     # is complete, so this raises exactly when a middle leaves the class
-    repkit.extension_relations(membership, 2 * max(gens.grades, default=0))
+    every = relations(2 * max(gens.grades, default=0), 0)
+
+    def harvested(maxlen: int, above: int):
+        # the relations of one pair have its middle grade, so the pairs
+        # with above < grade <= maxlen give the sorted list filtered on it
+        bound = repkit.dimension_bound()
+        if maxlen > bound:
+            raise repkit.DimensionBoundExceeded(f"middle length {maxlen}", bound)
+        return [r for r in every if above < gens.grade(r[0]) <= maxlen]
+
     return CategorySource(
         label=f"nakayama_tf(kupisch={list(kup.lengths)}, cyclic={kup.cyclic})",
         gens=gens,
-        relations=relations,
+        relations=harvested,
         grade_bound=grade_bound,
     )
 

@@ -10,13 +10,18 @@ stratum by stratum with a union-find: two words are identified exactly
 when a chain of single-relation rewrites w -> w - u + v connects them,
 where the leftover w - u must itself be a carrier word.
 
-Atoms and the bounded cancellativity scan are read off this exact stratum
-data.  The group completion needs no strata: it is one Smith normal form
-of the relation differences, over plain Python ints.  Freeness is the
-count #atoms = rank K0.  Half-factoriality is decided on K0 tensored with
-Q: a functional that is 1 on every atom and 0 on every relation
+No verdict on an unrestricted (`all`) carrier needs strata.  Its atoms
+are read off the relations alone: a one-letter word can only be
+rewritten by a relation with that word as one side.  The group
+completion is one Smith normal form of the relation differences, over
+plain Python ints.  Freeness is the count #atoms = rank K0, and a free
+monoid is cancellative, so the cancellativity scan builds strata only
+when the monoid is not free.  Half-factoriality is decided on K0 tensored
+with Q: a functional that is 1 on every atom and 0 on every relation
 difference vanishes on the relation lattice, so it factors through the
-free coordinates of the group completion.
+free coordinates of the group completion.  Dimension-vector carriers
+read their atoms off the strata of their irreducible words, and the
+Cayley quiver is drawn from the strata up to its bound.
 
 Inside a stratum computation a word is handled as one packed int, a
 mixed-radix number with one digit per generator (see `stratum_classes`),
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import le, mul
+from operator import le, mul, sub
 
 WORD_CAP = 500_000
 
@@ -71,7 +76,7 @@ class GeneratorTable:
     @cached_property
     def dimvec_rank(self) -> int:
         """Rank of the generators' dimension-vector matrix."""
-        D = smith_normal_form([list(dv) for dv in self.dimvecs or ()])[0]
+        D = smith_normal_form([list(dv) for dv in self.dimvecs or ()], left=False)[0]
         return sum(1 for k, row in enumerate(D) if k < len(row) and row[k])
 
     def grade(self, word: Word) -> int:
@@ -287,6 +292,21 @@ def _pack(P: Presentation, word: Word) -> int:
     return sum(map(mul, word, P._places))
 
 
+def _root(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    """Merge the trees of x and y under the root of x."""
+    rx, ry = _root(parent, x), _root(parent, y)
+    if rx != ry:
+        parent[ry] = rx
+
+
 def _word_codes(P: Presentation, s: int) -> list[int]:
     """Codes of `words_of_grade(s)`, in that order; needs `_pack_up_to(P, s)`."""
     codes = P._codes.get(s)
@@ -324,25 +344,15 @@ def stratum_classes(P: Presentation, s: int) -> StratumPartition:
     codes = _word_codes(P, s)
     position = {c: k for k, c in enumerate(codes)}
     parent = list(range(len(words)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for du, cu, cv in P._relation_codes:
         if du > s:
             continue
         for r in _word_codes(P, s - du):
-            rx = find(position[r + cu])
-            ry = find(position[r + cv])
-            if rx != ry:
-                parent[ry] = rx
+            _union(parent, position[r + cu], position[r + cv])
 
     # words are sorted, so numbering roots by first occurrence numbers the
     # classes in the order of their least words
-    roots = [find(k) for k in range(len(words))]
+    roots = [_root(parent, k) for k in range(len(words))]
     number: dict[int, int] = {}
     for root in roots:
         number.setdefault(root, len(number))
@@ -368,7 +378,7 @@ def relation_differences(P: Presentation) -> tuple[tuple[int, ...], ...]:
     if P._differences is None:
         P._differences = tuple(
             dict.fromkeys(
-                tuple(a - b for a, b in zip(u, v)) for u, v in P.relations
+                tuple(map(sub, u, v)) for u, v in P.relations
             )
         )
     return P._differences
@@ -451,71 +461,139 @@ class Atom:
 
 
 def atoms(P: Presentation) -> list[Atom]:
-    """The atom classes of the presented monoid.
+    """The atom classes of the presented monoid, each named by its least
+    word, sorted by grade and then by that word.
 
     Atoms can only be classes of irreducible carrier words, and such a
     class is an atom exactly when every word in it is irreducible.  This
     is exact once the relations are complete up to the largest irreducible
-    grade.
+    grade.  On an `all` carrier this is read off the relations alone (see
+    `_atoms_from_relations`); a dimension-vector carrier reads the class
+    of each irreducible word off its stratum.
     """
-    if P._atoms is not None:
-        return list(P._atoms)
-    seen = set()
-    out = []
-    for w in generating_words(P):
-        s = P.gens.grade(w)
-        part = stratum_classes(P, s)
-        cls = part.class_of(w)
-        rep = min(cls)
-        if (s, rep) in seen:
-            continue
-        seen.add((s, rep))
-        if all(is_irreducible(P, x) for x in cls):
-            out.append(Atom(rep, s))
-    out.sort(key=lambda a: (a.grade, a.representative))
-    P._atoms = tuple(out)
-    return out
+    if P._atoms is None:
+        if P.carrier.kind == "all":
+            out = _atoms_from_relations(P)
+        else:
+            out = []
+            seen = set()
+            for w in generating_words(P):
+                s = P.gens.grade(w)
+                cls = stratum_classes(P, s).class_of(w)
+                rep = min(cls)
+                if (s, rep) in seen:
+                    continue
+                seen.add((s, rep))
+                if all(is_irreducible(P, x) for x in cls):
+                    out.append(Atom(rep, s))
+        out.sort(key=lambda a: (a.grade, a.representative))
+        P._atoms = tuple(out)
+    return list(P._atoms)
+
+
+def _atoms_from_relations(P: Presentation) -> list[Atom]:
+    """The atoms of a presentation on the `all` carrier, without strata.
+
+    The irreducible words are the one-letter words, and a first rewrite
+    of a one-letter word g uses a relation with g as one side (the
+    leftover g - u is a word only for u = g).  So the class of g holds
+    only one-letter words while every relation met along the way has one
+    letter on each side: the class is the component of g in the graph of
+    the one-letter = one-letter relations, unless some member of that
+    component is a side of a relation whose other side has two or more
+    letters, counting multiplicity; then the class holds a reducible word
+    and is no atom.
+    """
+    k = len(P.gens)
+    parent = list(range(k))
+    blocked = []  # letters that are one side of a relation with 2+ letters
+    for u, v in P.relations:
+        su, sv = sum(u), sum(v)
+        if su == 1 and sv == 1:
+            _union(parent, u.index(1), v.index(1))
+        elif su == 1:
+            blocked.append(u.index(1))
+        elif sv == 1:
+            blocked.append(v.index(1))
+    dead = {_root(parent, g) for g in blocked}
+    least: dict[int, int] = {}  # root -> its letter of the least unit word
+    for g in range(k):
+        # the unit word of a later letter is the smaller tuple
+        least[_root(parent, g)] = g
+    return [
+        Atom(tuple(int(i == g) for i in range(k)), P.gens.grades[g])
+        for root, g in least.items()
+        if root not in dead
+    ]
 
 
 # ---------------------------------------------------------------------------
 # integer linear algebra (Smith normal form over Z)
 
 
-def smith_normal_form(A: list[list[int]]):
-    """(D, U, V) with D = U A V diagonal, d_i | d_{i+1}, U and V unimodular."""
+def smith_normal_form(A: list[list[int]], left: bool = True):
+    """(D, U, V) with D = U A V diagonal, d_i | d_{i+1}, U and V unimodular.
+
+    The pivot is the first entry of least absolute value in the block
+    still to eliminate, so its search stops at the first unit entry.
+    Relation differences are sparse with small entries and most of their
+    pivots are units, which clear their row and column in one pass and
+    need no divisibility repair (unit pivots first, as in Dumas, Saunders
+    and Villard, "On efficient sparse integer matrix Smith normal form
+    computations", JSC 2001).
+
+    With left=False the row transform U is not built and None stands in
+    its place: a caller that reads only D and V skips the m x m row
+    bookkeeping, and rows that reach zero leave the elimination at once
+    (D keeps its shape, with those rows last).
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [row[:] for row in A]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    U = [[int(i == j) for j in range(m)] for i in range(m)] if left else None
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
+    # rows above t are zero off the diagonal, so column operations at
+    # step t touch the rows from t on only
     def row_op(i, j, q):  # row_i -= q * row_j
         D[i] = [a - q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        if left:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for row in D:
+        for row in D[t:]:
             row[i] -= q * row[j]
         for row in V:
             row[i] -= q * row[j]
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        if left:
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
-        for row in D:
+        for row in D[t:]:
             row[i], row[j] = row[j], row[i]
         for row in V:
             row[i], row[j] = row[j], row[i]
 
     t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
+    while True:
+        if not left:
+            D[t:] = [row for row in D[t:] if any(row)]
+        rows = len(D)
+        if t >= min(rows, n):
+            break
+        piv, least = None, 0
+        for i in range(t, rows):
             for j in range(t, n):
-                if D[i][j] and (piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]])):
-                    piv = (i, j)
+                a = abs(D[i][j])
+                if a and (piv is None or a < least):
+                    piv, least = (i, j), a
+                    if a == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -523,7 +601,7 @@ def smith_normal_form(A: list[list[int]]):
         clean = False
         while not clean:
             clean = True
-            for i in range(t + 1, m):
+            for i in range(t + 1, rows):
                 if D[i][t]:
                     row_op(i, t, D[i][t] // D[t][t])
                     if D[i][t]:
@@ -535,9 +613,9 @@ def smith_normal_form(A: list[list[int]]):
                     if D[t][j]:
                         swap_cols(t, j)
                         clean = False
-            if clean:
+            if clean and abs(D[t][t]) != 1:
                 # enforce divisibility of the remaining block
-                for i in range(t + 1, m):
+                for i in range(t + 1, rows):
                     for j in range(t + 1, n):
                         if D[i][j] % D[t][t]:
                             row_op(t, i, -1)
@@ -547,8 +625,10 @@ def smith_normal_form(A: list[list[int]]):
                         break
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
+            if left:
+                U[t] = [-x for x in U[t]]
         t += 1
+    D += [[0] * n for _ in range(m - len(D))]
     return D, U, V
 
 
@@ -627,7 +707,9 @@ def group_completion(P: Presentation) -> GroupCompletionData:
     the Smith normal form, so rank and invariant factors depend on them
     alone; no stratum and no atom is computed.  On an `all` carrier the
     generators are the unit words, so each difference is its own row and
-    there are no syzygies.
+    there are no syzygies.  Only D and V of that Smith form are read, so
+    it builds no row transform; the generators' own Smith form keeps
+    its U, which solves for preimages and syzygies.
     """
     if P._completion is not None:
         return P._completion
@@ -649,7 +731,7 @@ def group_completion(P: Presentation) -> GroupCompletionData:
         rel_rows.extend(integer_kernel(gen_snf))
     if not rel_rows:
         rel_rows = [[0] * p]
-    D, U, V = smith_normal_form(rel_rows)
+    D, _, V = smith_normal_form(rel_rows, left=False)
     diag = []
     for j in range(p):
         d = D[j][j] if j < len(rel_rows) and j < p else 0
@@ -770,7 +852,13 @@ def cancellativity_scan(P: Presentation, bound: int) -> CancellativityScan:
     grade-g classes are bucketed by the class of a + x, one packed-code
     addition and lookup per (x, h, a); the least pair in a bucket is its
     first two members.
+
+    A free monoid returns no certificate without building a stratum: the
+    atoms generate M, and #atoms = rank K0 makes M free (`is_free`), so
+    cancellative, and no collision exists at any grade.
     """
+    if is_free(P):
+        return CancellativityScan(bound, None)
     _pack_up_to(P, bound)
     grades = [s for s in range(1, bound + 1) if P.words_of_grade(s)]
     reps = {s: [min(c) for c in stratum_classes(P, s).classes] for s in grades}
@@ -900,17 +988,22 @@ def parse_presentation(text: str) -> Presentation:
         raise InvalidPresentation("dimension vectors on some generators only")
     gens = GeneratorTable(tuple(names), tuple(grades), tuple(dimvecs) or None)
     index = {n: k for k, n in enumerate(names)}
+    # each distinct term is matched once: term -> (generator, multiplicity)
+    terms: dict[str, tuple[int, int]] = {}
 
     def parse_side(side: str) -> Word:
         word = [0] * len(names)
         for term in side.split("+"):
             term = term.strip()
-            if not term:
-                raise InvalidPresentation(f"empty term in {side!r}")
-            m = _TERM.fullmatch(term)
-            if not m or m.group(2) not in index:
-                raise InvalidPresentation(f"bad term {term!r}")
-            word[index[m.group(2)]] += int(m.group(1) or 1)
+            if term not in terms:
+                if not term:
+                    raise InvalidPresentation(f"empty term in {side!r}")
+                m = _TERM.fullmatch(term)
+                if not m or m.group(2) not in index:
+                    raise InvalidPresentation(f"bad term {term!r}")
+                terms[term] = index[m.group(2)], int(m.group(1) or 1)
+            k, multiplicity = terms[term]
+            word[k] += multiplicity
         return tuple(word)
 
     relations = tuple((parse_side(l), parse_side(r)) for l, r in rel_texts)

@@ -123,6 +123,18 @@ class TestAnalyze:
                            "--bound", "6")
         assert code == 4 and "JHP_LAB_BOUND" in err
 
+    def test_a10_w0_report_needs_no_word_enumeration(self, capsys, monkeypatch):
+        # the verdicts on a free class build no strata, so the report of
+        # w0 over A10 stays within every enumeration limit
+        monkeypatch.setenv("JHP_LAB_BOUND", "10")
+        w0 = "11,10,9,8,7,6,5,4,3,2,1"
+        code, out, err = run(capsys, "analyze", "--quiver", "1<2>3<4>5>6>7>8>9>10",
+                             "--w", w0, "--bound", "10")
+        data = json.loads(out)
+        assert code == 0 and not err
+        assert data["jhp"] is True and data["k0"] == {"rank": 10, "torsion": []}
+        assert data["cancellative"] == {"status": "none_up_to_bound", "bound": 10}
+
     def test_bound_below_generator_grade_exit3(self, capsys):
         # F(3412) has a generator of grade 3: a lower harvest bound cannot
         # give exact atoms

@@ -60,6 +60,28 @@ class TestSourceContracts:
         with pytest.raises(gk.InvalidSpec, match="not extension-closed"):
             gk.nakayama_tf(kup, nakayama.parse_class("1:1, 2:1"))
 
+    def test_nakayama_glues_each_pair_once(self, monkeypatch):
+        # the closure check glues every ordered pair of members; the
+        # harvest filters that relation list instead of gluing again
+        seen = []
+        gluings = repkit._gluings
+
+        def spy(X, Z):
+            seen.append((X, Z))
+            return gluings(X, Z)
+
+        monkeypatch.setattr(repkit, "_gluings", spy)
+        kup = nakayama.parse_kupisch("kupisch: 3,2,1")
+        members = nakayama.parse_class("1:1, 2:1, 2:2, 3:1, 3:2, 3:3")
+        report = gk.report(gk.nakayama_tf(kup, members))
+        assert len(seen) == len(set(seen)) == len(members) ** 2 == 36
+        # the relations harvested up to the report's bound are the pairs'
+        monkeypatch.setattr(repkit, "_gluings", gluings)
+        E = nakayama.class_membership(kup, members)
+        bound = report.cancellative_bound
+        _, relations = gk._membership_harvest(E)
+        assert report.presentation.relations == tuple(relations(bound, 0))
+
     @pytest.mark.parametrize("m, n", [(0, 0), (-1, 2), (1, -1)])
     def test_a2_rejects_zero_or_negative_vector(self, m, n):
         with pytest.raises(gk.InvalidSpec):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from jhp_lab import grothendieck, monoid
 from jhp_lab.monoid import (
+    Atom,
     Carrier,
     GeneratorTable,
     Presentation,
@@ -244,6 +246,23 @@ class TestSmithNormalForm:
         D, _, _ = smith_normal_form([[1, 1], [1, -1]])
         assert [D[0][0], D[1][1]] == [1, 2]
 
+    def test_without_left_transform(self):
+        # the same diagonal, a unimodular V, and rows of A V in the row
+        # lattice of D: D = U A V for some unimodular U
+        rng = random.Random(7)
+        for _ in range(60):
+            m = rng.randrange(1, 7)
+            n = rng.randrange(1, 5)
+            A = [[rng.choice([0, 0, 0, 1, -1, 2, -2, 3]) for _ in range(n)] for _ in range(m)]
+            D, U, V = smith_normal_form(A, left=False)
+            assert U is None and len(D) == m and all(len(row) == n for row in D)
+            assert D == smith_normal_form(A)[0]
+            assert self.det(V) in (1, -1)
+            diag = [D[k][k] if k < m else 0 for k in range(n)]
+            for row in A:
+                image = [sum(a * V[k][j] for k, a in enumerate(row)) for j in range(n)]
+                assert all(x % d == 0 if d else x == 0 for x, d in zip(image, diag))
+
     def test_integer_solve_and_kernel(self):
         rows = [[1, 2, 0], [0, 1, 1]]
         snf = smith_normal_form(rows)
@@ -301,6 +320,36 @@ class TestGroupCompletion:
             grothendieck.typea_torsionfree(parse_perm("3412"), q)
         )
         assert grothendieck.relation_lattice_certified(pres)
+
+
+W0_A5 = Path(__file__).resolve().parents[1] / "bench" / "data" / "a5_w0" / "w0_00.txt"
+
+
+class TestVerdictsWithoutStrata:
+    def test_a5_w0_report_builds_no_stratum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the report enumerated words")
+
+        monkeypatch.setattr(monoid, "stratum_classes", refuse)
+        monkeypatch.setattr(Presentation, "words_of_grade", refuse)
+        text = W0_A5.read_text(encoding="utf-8")
+        for bound in (5, 6):
+            report = grothendieck.report(grothendieck.abstract_source(text, grade_bound=bound))
+            assert report.jhp and report.k0_rank == len(report.atoms) == 5
+            assert (report.cancellative_status, report.cancellative_bound) == (
+                "none_up_to_bound", bound
+            )
+
+    def test_one_letter_components(self):
+        # a = b joins two one-letter words; c = a + b takes c out; the
+        # class {a, b} is named by its least word b
+        pres = parse_presentation(
+            "generator a grade 1\ngenerator b grade 1\ngenerator c grade 2\n"
+            "generator d grade 2\ncarrier all\n"
+            "relation a = b\nrelation c = a + b"
+        )
+        assert atoms(pres) == [Atom((0, 1, 0, 0), 1), Atom((0, 0, 0, 1), 2)]
+        assert atoms(pres) == oracle_atoms(pres)
 
 
 class TestFreeness:
@@ -570,6 +619,19 @@ def oracle_half_factorial(P):
     }
 
 
+def oracle_atoms(P):
+    """Atoms by the strata definition: the class of an irreducible word at
+    its grade is an atom iff every word in it is irreducible."""
+    out = set()
+    for w in generating_words(P):
+        s = P.gens.grade(w)
+        classes, index = oracle_stratum_classes(P, s)
+        cls = classes[index[w]]
+        if all(is_irreducible(P, x) for x in cls):
+            out.add(Atom(min(cls), s))
+    return sorted(out, key=lambda a: (a.grade, a.representative))
+
+
 def oracle_is_free(P):
     """The freeness test that the count replaced: K0 torsion-free, the atom
     images in it distinct, and as many atoms as rank K0."""
@@ -639,10 +701,20 @@ def small_presentations(draw):
         carrier = Carrier.all_words()
     free = Presentation(gens, carrier, ())
     grades = [s for s in range(1, 5) if len(free.words_of_grade(s)) > 1]
+    # irreducible words that share their grade with another word
+    letters = [w for w in generating_words(free) if free.gens.grade(w) in grades]
     relations = []
     # a common summand c makes relations c + u = c + v that need not
-    # cancel, so that a good share of the scans return a certificate
+    # cancel, so that a good share of the scans return a certificate; a
+    # relation with an irreducible side (on an `all` carrier, one letter =
+    # one letter or one letter = several) decides whether a letter is an atom
     for _ in range(draw(st.integers(1, 5)) if grades else 0):
+        if letters and draw(st.booleans()):
+            u = draw(st.sampled_from(letters))
+            others = [w for w in free.words_of_grade(free.gens.grade(u)) if w != u]
+            v = draw(st.sampled_from(others))
+            relations.append(draw(st.sampled_from([(u, v), (v, u)])))
+            continue
         words = free.words_of_grade(draw(st.sampled_from(grades)))
         u, v = draw(st.lists(st.sampled_from(words), min_size=2, max_size=2,
                              unique=True))
@@ -672,6 +744,12 @@ class TestAgainstOracle:
         }
         gens = generating_words(P)
         assert irreducible == {w for w in gens if P.gens.grade(w) <= bound}
+        # on an `all` carrier the atoms come from the relations alone
+        assert atoms(P) == oracle_atoms(P)
+        if P.carrier.kind == "all":
+            sides = [sorted((sum(u), sum(v))) for u, v in P.relations]
+            event(f"one letter = one letter: {[1, 1] in sides}")
+            event(f"one letter = several: {any(a == 1 < b for a, b in sides)}")
         gp = group_completion(P)
         hp = is_half_factorial(P)
         event(f"half-factorial on {P.carrier.kind}: {hp.status}")

@@ -7,8 +7,10 @@ report of w0 over `1<2>3<4>5>6` and `1<2>3<4>5>6>7` (A6 and A7, about a
 second together), and of the JSON reports of all 2112 torsion-free
 classes over the 16 orientations of A5, folded into one digest, and of
 `tables --which table1|table2|census` over every orientation with at
-most six vertices and over `1<2>3<4>5<6>7` and its opposite, are compared
-by SHA-256 digest with `report_digests.txt`.  A change that
+most six vertices and over `1<2>3<4>5<6>7` and its opposite, of
+`analyze --dot -` for w0 over `1<2>3<4>5>6>7>8` (A8), and of the JSON
+report of w0 over `1<2>3<4>5>6>7>8>9` (A9) with `JHP_LAB_BOUND=9`, are
+compared by SHA-256 digest with `report_digests.txt`.  A change that
 alters the reports on purpose regenerates that file from the repository
 root with
 
@@ -17,8 +19,10 @@ root with
 import contextlib
 import hashlib
 import io
+import os
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 from jhp_lab import cli
 from jhp_lab.symgroup import (
@@ -66,6 +70,12 @@ def report_lines() -> list[str]:
     for q in quivers + ["1<2>3<4>5<6>7", "1>2<3>4<5>6<7"]:
         for which in ("table1", "table2", "census"):
             lines.append(f"tables {which} {q} {_run('tables', '--which', which, '--quiver', q)}")
+    q, w0 = "1<2>3<4>5>6>7>8", "987654321"
+    lines.append(f"{q} {w0} dot {_run('analyze', '--quiver', q, '--w', w0, '--dot', '-')}")
+    q, w0 = "1<2>3<4>5>6>7>8>9", "10,9,8,7,6,5,4,3,2,1"
+    with mock.patch.dict(os.environ, JHP_LAB_BOUND="9"):
+        argv = ("analyze", "--quiver", q, "--w", w0)
+        lines.append(f"{q} {w0} json JHP_LAB_BOUND=9 {_run(*argv)}")
     return lines
 
 
