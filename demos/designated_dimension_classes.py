@@ -23,12 +23,12 @@ for m, n in ((1, 1), (2, 1), (2, 2)):
         for N in range(0, 4)
     ]
     print("   class counts per stratum:", counts)
-    scan = monoid.cancellativity_scan(pres, 2 * step)
-    if scan.certificate:
-        a, x, y = (pres.format_word(w) for w in scan.certificate)
+    certificate = monoid.cancellativity_scan(pres, 2 * step)
+    if certificate:
+        a, x, y = (pres.format_word(w) for w in certificate)
         print(f"   not cancellative: [{a}]+[{x}] = [{a}]+[{y}] but [{x}] != [{y}]")
     else:
-        print(f"   no cancellation failure up to grade {scan.bound}")
+        print(f"   no cancellation failure up to grade {2 * step}")
     print("   Cayley quiver up to three steps:")
     for line in monoid.cayley_quiver(pres, 3 * step).splitlines():
         if "->" in line:

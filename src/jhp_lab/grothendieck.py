@@ -345,8 +345,7 @@ def report(src: CategorySource) -> MonoidReport:
     bound = pres.relation_grade_bound
     ats = monoid.atoms(pres)
     gc = monoid.group_completion(pres)
-    hf = monoid.is_half_factorial(pres)
-    scan = monoid.cancellativity_scan(pres, bound)
+    certificate = monoid.cancellativity_scan(pres, bound)
 
     caveats = [
         "all module-level computations are over the two-element field",
@@ -374,12 +373,12 @@ def report(src: CategorySource) -> MonoidReport:
         k0_rank=gc.rank,
         k0_torsion=list(gc.invariant_factors),
         jhp=monoid.is_free(pres),
-        unique_length=hf.status == "yes",
+        unique_length=monoid.is_half_factorial(pres),
         cancellative_status=(
-            "certificate" if scan.certificate is not None else "none_up_to_bound"
+            "certificate" if certificate is not None else "none_up_to_bound"
         ),
         cancellative_bound=bound,
-        certificate=_certificate_words(pres, scan.certificate),
+        certificate=_certificate_words(pres, certificate),
         dim_monoid=dimension_monoid(src, pres),
         caveats=caveats,
         presentation=pres,
@@ -507,7 +506,7 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
         if part3.index[sx] == part3.index[p2_word]:
             proj_relations.append((f"S1+{labels[k]}", labels[p2_idx]))
 
-    scan = monoid.cancellativity_scan(pres, bound)
+    certificate = monoid.cancellativity_scan(pres, bound)
 
     atoms = monoid.atoms(pres)
     s1_word = tuple(int(k == s1_idx) for k in range(len(members)))
@@ -520,7 +519,7 @@ def kronecker_demo(bound: int = 3) -> KroneckerDemo:
         regular_labels=[labels[k] for k in regular_idx],
         regular_classes_distinct=distinct,
         projective_relations=proj_relations,
-        certificate=_certificate_words(pres, scan.certificate),
+        certificate=_certificate_words(pres, certificate),
         s1_is_atom=s1_is_atom,
         p2_is_simple=p2_simple,
         presentation=pres,

@@ -15,13 +15,15 @@ are read off the relations alone: a one-letter word can only be
 rewritten by a relation with that word as one side.  The group
 completion is one Smith normal form of the relation differences, over
 plain Python ints.  Freeness is the count #atoms = rank K0, and a free
-monoid is cancellative, so the cancellativity scan builds strata only
-when the monoid is not free.  Half-factoriality is decided on K0 tensored
-with Q: a functional that is 1 on every atom and 0 on every relation
-difference vanishes on the relation lattice, so it factors through the
-free coordinates of the group completion.  Dimension-vector carriers
-read their atoms off the strata of their irreducible words, and the
-Cayley quiver is drawn from the strata up to its bound.
+monoid is cancellative and half-factorial, so for a free monoid neither
+the cancellativity scan nor the half-factoriality test does more than
+that count.  Otherwise half-factoriality asks for a functional on K0
+tensored with Q that is 1 on every atom; it exists exactly when a
+column of ones leaves the rank of the atoms' free coordinates unchanged,
+and both ranks are read off Smith normal forms, so the module has one
+exact solver.  Dimension-vector carriers read their atoms off the strata
+of their irreducible words, and the Cayley quiver is drawn from the
+strata up to its bound.
 
 Inside a stratum computation a word is handled as one packed int, a
 mixed-radix number with one digit per generator (see `stratum_classes`),
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import le, mul, sub
@@ -76,8 +77,7 @@ class GeneratorTable:
     @cached_property
     def dimvec_rank(self) -> int:
         """Rank of the generators' dimension-vector matrix."""
-        D = smith_normal_form([list(dv) for dv in self.dimvecs or ()], left=False)[0]
-        return sum(1 for k, row in enumerate(D) if k < len(row) and row[k])
+        return _rank([list(dv) for dv in self.dimvecs or ()])
 
     def grade(self, word: Word) -> int:
         return sum(map(mul, word, self.grades))
@@ -632,6 +632,12 @@ def smith_normal_form(A: list[list[int]], left: bool = True):
     return D, U, V
 
 
+def _rank(A: list[list[int]]) -> int:
+    """The rank of A over Q: the number of its nonzero invariant factors."""
+    D = smith_normal_form(A, left=False)[0]
+    return sum(1 for k, row in enumerate(D) if k < len(row) and row[k])
+
+
 def _mat_vec(rows: list[list[int]], x: list[int]) -> list[int]:
     # x (len = #rows) times the matrix: returns x . rows
     n = len(rows[0]) if rows else 0
@@ -763,102 +769,55 @@ def is_free(P: Presentation) -> bool:
     return len(atoms(P)) == group_completion(P).rank
 
 
-@dataclass(frozen=True)
-class HalfFactorialVerdict:
-    status: str  # "yes" | "no"
-    assignment: dict | None = None
-
-
-def _rational_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """A particular solution of rows . x = rhs (free unknowns 0), or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    M = [row[:] + [rhs[k]] for k, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n]:
-            return None
-    part = [Fraction(0)] * n
-    for k, c in enumerate(pivots):
-        part[c] = M[k][n]
-    return part
-
-
-def is_half_factorial(P: Presentation) -> HalfFactorialVerdict:
+def is_half_factorial(P: Presentation) -> bool:
     """Do all factorizations of a class into atoms have one length?
 
-    Exactly when some additive functional is 1 on every atom and 0 on
-    every relation difference u - v.  Such a functional is 0 on the whole
-    relation lattice, so it is a functional on Q tensor K0, that is on
-    the free coordinates of `group_completion` (torsion dies over Q).  The
-    system solved over the rationals is therefore phi . f(a) = 1 for each
-    atom a, with f the free coordinates: #atoms equations in rank K0
-    unknowns.
+    A free monoid factors uniquely, so it is.  Otherwise: exactly when
+    some additive functional is 1 on every atom and 0 on every relation
+    difference u - v.  Such a functional is 0 on the whole relation
+    lattice, so it is a functional phi on Q tensor K0, that is on the free
+    coordinates of `group_completion` (torsion dies over Q).  With F the
+    matrix whose rows are the free coordinates f(a) of the atoms, the
+    system F . phi = 1 has #atoms equations in rank K0 unknowns, and it is
+    consistent exactly when rank F = rank [F | 1].  Both ranks are counts
+    of nonzero invariant factors of a Smith normal form.
 
-    Its solutions agree on the carrier: a generating word w is congruent
-    to a sum of k >= 1 atoms (the monoid is graded and every irreducible
-    word of grade at most that of w is found), so f(w) is the sum of
-    their f(a) and every solution is k on w.  The verdict is "yes", with
-    the values phi . f(w) of a particular solution on the generating
-    words, when the system is consistent, and "no" otherwise.
+    A consistent system fixes the length of every class: a generating
+    word w is congruent to a sum of k >= 1 atoms (the monoid is graded and
+    every irreducible word of grade at most that of w is found), so f(w)
+    is the sum of their f(a) and every solution is k on w.
     """
+    if is_free(P):
+        return True
     gc = group_completion(P)
-    rows = [
-        list(map(Fraction, gc.free_coordinates(a.representative))) for a in atoms(P)
-    ]
-    phi = _rational_solve(rows, [Fraction(1)] * len(rows))
-    if phi is None:
-        return HalfFactorialVerdict("no")
-    assignment = {
-        P.format_word(w): int(sum(map(mul, gc.free_coordinates(w), phi)))
-        for w in generating_words(P)
-    }
-    return HalfFactorialVerdict("yes", assignment)
+    F = [gc.free_coordinates(a.representative) for a in atoms(P)]
+    return _rank(F) == _rank([row + [1] for row in F])
 
 
 # ---------------------------------------------------------------------------
 # cancellativity scanning and Cayley quivers
 
 
-@dataclass(frozen=True)
-class CancellativityScan:
-    bound: int
-    certificate: tuple[Word, Word, Word] | None  # (a, x, y)
-
-
-def cancellativity_scan(P: Presentation, bound: int) -> CancellativityScan:
+def cancellativity_scan(
+    P: Presentation, bound: int
+) -> tuple[Word, Word, Word] | None:
     """Search strata up to `bound` for a + x = a + y with x != y.
 
-    x, y and a are the least words of their classes.  The certificate
-    returned is the first in this order: the least grade g of x, then the
-    least pair (x, y) of grade-g classes in class order, then the first
-    grade h of a and the first a-class of that grade.  For each (h, a) the
-    grade-g classes are bucketed by the class of a + x, one packed-code
-    addition and lookup per (x, h, a); the least pair in a bucket is its
-    first two members.
+    Returns the certificate (a, x, y), or None when there is none up to
+    `bound`.  x, y and a are the least words of their classes.  The
+    certificate returned is the first in this order: the least grade g of
+    x, then the least pair (x, y) of grade-g classes in class order, then
+    the first grade h of a and the first a-class of that grade.  For each
+    (h, a) the grade-g classes are bucketed by the class of a + x, one
+    packed-code addition and lookup per (x, h, a); the least pair in a
+    bucket is its first two members.
 
     A free monoid returns no certificate without building a stratum: the
     atoms generate M, and #atoms = rank K0 makes M free (`is_free`), so
     cancellative, and no collision exists at any grade.
     """
     if is_free(P):
-        return CancellativityScan(bound, None)
+        return None
     _pack_up_to(P, bound)
     grades = [s for s in range(1, bound + 1) if P.words_of_grade(s)]
     reps = {s: [min(c) for c in stratum_classes(P, s).classes] for s in grades}
@@ -884,8 +843,8 @@ def cancellativity_scan(P: Presentation, bound: int) -> CancellativityScan:
                         best = ((first[t], xi), a)
         if best is not None:
             (xi, yi), a = best
-            return CancellativityScan(bound, (a, reps[g][xi], reps[g][yi]))
-    return CancellativityScan(bound, None)
+            return a, reps[g][xi], reps[g][yi]
+    return None
 
 
 def cayley_quiver(P: Presentation, bound: int) -> str:

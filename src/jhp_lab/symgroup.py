@@ -48,13 +48,10 @@ def identity_perm(rank: int) -> Perm:
 def parse_perm(text: str) -> Perm:
     """Parse "45231" (ranks up to 9) or "4,5,2,3,1"."""
     text = text.strip()
-    if "," in text:
-        w = tuple(int(p) for p in text.split(","))
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse permutation {text!r}")
-        w = tuple(int(ch) for ch in text)
-    return check_perm(w)
+    fields = [f.strip() for f in text.split(",")] if "," in text else list(text)
+    if not fields or not all(re.fullmatch("[0-9]+", f) for f in fields):
+        raise ValueError(f"cannot parse permutation {text!r}")
+    return check_perm(tuple(map(int, fields)))
 
 
 def format_perm(w: Perm) -> str:
@@ -87,49 +84,20 @@ def simple_reflection(rank: int, i: int) -> Perm:
     return tuple(w)
 
 
-def inversions(w: Perm) -> frozenset[Transposition]:
-    """All (i, j) with i < j whose letters appear out of order in w."""
-    out = []
-    for p, a in enumerate(w):
-        for x in w[p + 1 :]:
-            if x < a:
-                out.append((x, a))
-    return frozenset(out)
-
-
-def length(w: Perm) -> int:
-    """The number of inversions of w."""
-    count = 0
-    for p, a in enumerate(w):
-        for x in w[p + 1 :]:
-            if x < a:
-                count += 1
-    return count
-
-
-def bruhat_inversions(w: Perm) -> frozenset[Transposition]:
-    """Inversions (i, j) with no i < l < j splitting into two inversions.
-
-    These are exactly the inversions t with length(t*w) = length(w) - 1,
-    i.e. the ones giving covers in the Bruhat order.  One positional
-    scan: right of the letter a, a letter x < a forms one exactly when
-    every letter below a between them is also below x, that is when x
-    exceeds m, the largest letter below a seen so far.
-    """
-    out = []
-    for p, a in enumerate(w):
-        m = 0
-        for x in w[p + 1 :]:
-            if m < x < a:
-                out.append((x, a))
-                m = x
-    return frozenset(out)
-
-
 def inversions_and_bruhat(
     w: Perm,
 ) -> tuple[frozenset[Transposition], frozenset[Transposition]]:
-    """`inversions(w)` and `bruhat_inversions(w)` from one scan."""
+    """The inversions of w and its Bruhat inversions, from one scan.
+
+    An inversion is a pair (i, j) with i < j whose letters appear out of
+    order in w.  A Bruhat inversion is one with no i < l < j splitting it
+    into two inversions; these are exactly the inversions t with
+    length(t*w) = length(w) - 1, i.e. the ones giving covers in the
+    Bruhat order.  One positional scan: right of the letter a, a letter
+    x < a forms an inversion, and a Bruhat one exactly when every letter
+    below a between them is also below x, that is when x exceeds m, the
+    largest letter below a seen so far.
+    """
     inv = []
     binv = []
     for p, a in enumerate(w):
@@ -141,6 +109,21 @@ def inversions_and_bruhat(
                     binv.append((x, a))
                     m = x
     return frozenset(inv), frozenset(binv)
+
+
+def inversions(w: Perm) -> frozenset[Transposition]:
+    """All (i, j) with i < j whose letters appear out of order in w."""
+    return inversions_and_bruhat(w)[0]
+
+
+def bruhat_inversions(w: Perm) -> frozenset[Transposition]:
+    """The inversions of w that give covers in the Bruhat order."""
+    return inversions_and_bruhat(w)[1]
+
+
+def length(w: Perm) -> int:
+    """The number of inversions of w."""
+    return len(inversions_and_bruhat(w)[0])
 
 
 def support(w: Perm) -> frozenset[int]:
@@ -221,12 +204,16 @@ class Orientation:
 
 
 def parse_orientation(text: str) -> Orientation:
-    parts = re.findall(r"\d+|[<>]", text.replace(" ", ""))
-    verts = [int(p) for p in parts[0::2]]
-    dirs = tuple(parts[1::2])
-    if verts != list(range(1, len(verts) + 1)) or len(dirs) != len(verts) - 1:
+    """Parse "1<2>3": the vertices 1..n in order, each pair joined by the
+    direction of its edge; whitespace is ignored."""
+    compact = "".join(text.split())
+    if not re.fullmatch(r"[0-9]+(?:[<>][0-9]+)*", compact):
         raise ValueError(f"cannot parse orientation {text!r}")
-    return Orientation(len(verts), dirs)
+    parts = re.findall(r"[0-9]+|[<>]", compact)
+    verts = [int(p) for p in parts[0::2]]
+    if verts != list(range(1, len(verts) + 1)):
+        raise ValueError(f"cannot parse orientation {text!r}")
+    return Orientation(len(verts), tuple(parts[1::2]))
 
 
 @dataclass(frozen=True)

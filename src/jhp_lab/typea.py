@@ -233,25 +233,6 @@ def torsion_free_membership(w: Perm, q: Orientation) -> repkit.Membership:
 # algebra, which is hereditary)
 
 
-def hom_dim(Z: IntervalModule, X: IntervalModule) -> int:
-    """dim Hom(Z, X), which is 0 or 1.
-
-    A nonzero map sends Z onto its quotient on the overlap [p, r) of the
-    two intervals, which must also be a submodule of X: no arrow at an
-    end of the overlap may enter it from the rest of Z, or leave it for
-    the rest of X.
-    """
-    q = X.quiver
-    p, r = max(X.i, Z.i), min(X.j, Z.j)
-    if p >= r:
-        return 0
-    if p > X.i and q.arrow_points_left(p) or p > Z.i and not q.arrow_points_left(p):
-        return 0
-    if r < X.j and not q.arrow_points_left(r) or r < Z.j and q.arrow_points_left(r):
-        return 0
-    return 1
-
-
 def euler_form(Z: IntervalModule, X: IntervalModule) -> int:
     """<dim Z, dim X>: sum over vertices v of z_v x_v, minus the sum over
     arrows s -> t of z_s x_t.  The supports meet in p..r-1; every arrow
@@ -270,9 +251,28 @@ def euler_form(Z: IntervalModule, X: IntervalModule) -> int:
     return (r - p) - max(0, r - p - 1) - crosses(p) - (r != p and crosses(r))
 
 
+def hom_dim(Z: IntervalModule, X: IntervalModule) -> int:
+    """dim Hom(Z, X), which is 0 or 1: max(<dim Z, dim X>, 0).
+
+    The path algebra is hereditary, so <dim Z, dim X> = hom(Z, X) -
+    ext^1(Z, X).  At most one of the two is nonzero.  The Auslander-Reiten
+    formula gives Ext^1(Z, X) = D Hom(X, tau Z), and tau Z is nonzero only
+    when Z is not projective; then the Auslander-Reiten sequence ending at
+    Z gives nonzero maps tau Z -> E -> Z through an indecomposable summand
+    E of its middle.  So nonzero maps Z -> X and X -> tau Z would close a
+    cycle Z -> X -> tau Z -> E -> Z of nonzero maps between
+    indecomposables, and the module category of a Dynkin quiver, every
+    orientation of the line included, has no such cycle (it is
+    representation-directed: every indecomposable is preprojective).
+    Z = X needs no cycle: an interval module has no self-extension.
+    """
+    return max(euler_form(Z, X), 0)
+
+
 def ext_dim(Z: IntervalModule, X: IntervalModule) -> int:
-    """dim Ext^1(Z, X) = dim Hom(Z, X) - <dim Z, dim X>, which is 0 or 1."""
-    return hom_dim(Z, X) - euler_form(Z, X)
+    """dim Ext^1(Z, X), which is 0 or 1: max(-<dim Z, dim X>, 0), since
+    Hom(Z, X) and Ext^1(Z, X) are never both nonzero (see `hom_dim`)."""
+    return max(-euler_form(Z, X), 0)
 
 
 def extension_middle(

@@ -261,8 +261,7 @@ def test_criterion_7_noncancellativity_certificates():
         assert part.representative((0, 0, 0, 1)) != part.representative((0, 1, 0, 0))
 
         pres11 = gk.presentation_of(gk.a2_designated(1, 1))
-        scan = monoid.cancellativity_scan(pres11, 4)
-        assert scan.certificate is not None
+        assert monoid.cancellativity_scan(pres11, 4) is not None
 
         demo = gk.kronecker_demo(3)
         assert demo.regular_classes_distinct
@@ -388,12 +387,12 @@ def test_criterion_11_monoid_laws():
             if not gc.invariant_factors:
                 assert gc.rank <= len(ats)
             if monoid.is_free(pres):
-                assert monoid.is_half_factorial(pres).status == "yes"
+                assert monoid.is_half_factorial(pres)
                 bound = max(
                     (pres.relation_grade_bound or 0,
                      2 * max(pres.gens.grades, default=1)),
                 )
-                assert monoid.cancellativity_scan(pres, bound).certificate is None
+                assert monoid.cancellativity_scan(pres, bound) is None
 
         # interval isomorphism [A,B] = P(B/A) over A2 and A3, dims <= 5
         inner_cache = {}

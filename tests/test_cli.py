@@ -111,6 +111,19 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "--quiver", "1>2<3", "--w", "1224")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "quiver, w, bad",
+        [
+            ("1<2>3junk", "4321", "1<2>3junk"),
+            ("a1<2", "321", "a1<2"),
+            ("1<<2", "321", "1<<2"),
+            ("1<2<3", "1,2,,3", "1,2,,3"),
+        ],
+    )
+    def test_malformed_input_exit3_names_it(self, capsys, quiver, w, bad):
+        code, out, err = run(capsys, "analyze", "--quiver", quiver, "--w", w)
+        assert code == 3 and out == "" and repr(bad) in err, err
+
     def test_bad_dimension_bound_exit3(self, capsys, monkeypatch):
         for value in ("abc", "0", "-2"):
             monkeypatch.setenv("JHP_LAB_BOUND", value)

@@ -67,7 +67,7 @@ def verdicts(pres):
         gc.rank,
         gc.invariant_factors,
         monoid.is_free(pres),
-        monoid.is_half_factorial(pres).status,
+        monoid.is_half_factorial(pres),
     )
 
 
