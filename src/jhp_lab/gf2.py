@@ -72,7 +72,17 @@ def coords_in_span(rows: Echelon, v: Vec) -> Vec:
 
 
 def rank(vectors: Iterable[Vec]) -> int:
-    return len(rref(vectors))
+    """Dimension of the span, by elimination on the lowest set bit."""
+    rows: dict[int, Vec] = {}  # lowest set bit -> the kept row with it
+    for v in vectors:
+        while v:
+            low = v & -v
+            r = rows.get(low)
+            if r is None:
+                rows[low] = v
+                break
+            v ^= r
+    return len(rows)
 
 
 def apply_cols(cols: Cols, v: Vec) -> Vec:

@@ -147,13 +147,6 @@ class Carrier:
                     return True
         return False
 
-    def __str__(self) -> str:
-        if self.kind == "all":
-            return "all"
-        return "dimvec-submonoid: " + " ".join(
-            "(" + ",".join(str(x) for x in v) + ")" for v in self.vectors
-        )
-
 
 class Presentation:
     """Generators, carrier and grade-preserving relation pairs."""

@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from . import gf2
 from .monoid import EnumerationOverflow, smith_normal_form
@@ -264,43 +265,57 @@ def all_reps(algebra: PresentedAlgebra, dims: tuple[int, ...]):
 # homomorphisms, isomorphism, decomposition
 
 
-def _hom_system(A: Rep, B: Rep) -> tuple[list[int], int]:
-    """Linear system for graded maps A -> B commuting with all arrows."""
-    if A.algebra != B.algebra:
+def _check_algebras(A: Rep, B: Rep) -> None:
+    if A.algebra is not B.algebra and A.algebra != B.algebra:
         raise AlgebraMismatch("Hom between representations of different algebras")
-    nv = A.algebra.vertices
+
+
+def _hom_system(A: Rep, B: Rep) -> tuple[list[int], int]:
+    """Linear system for graded maps A -> B commuting with all arrows.
+
+    Entry (row, col) of phi_v : A_v -> B_v is the unknown
+    offset[v] + col * B.dims[v] + row.  Arrow a : s -> t gives one
+    equation (phi_t A_a)[r, c] = (B_a phi_s)[r, c] per source column c of
+    A_a and target row r of B_a.
+    """
+    _check_algebras(A, B)
     offset = []
     total = 0
-    for v in range(nv):
+    for da, db in zip(A.dims, B.dims):
         offset.append(total)
-        total += A.dims[v] * B.dims[v]
-
-    def unknown(v: int, row: int, col: int) -> int:
-        # entry (row, col) of phi_v : A_v -> B_v
-        return offset[v] + col * B.dims[v] + row
-
+        total += da * db
     rows = []
-    for a, (_, s, t) in enumerate(A.algebra.arrows):
-        s -= 1
-        t -= 1
-        for c in range(A.dims[s]):
-            u = A.maps[a][c]  # image of source basis vector c in A_t
-            for r in range(B.dims[t]):
-                eq = 0
-                k = u
-                while k:
-                    low = k & -k
-                    eq ^= 1 << unknown(t, r, low.bit_length() - 1)
-                    k ^= low
-                for m in range(B.dims[s]):
-                    if B.maps[a][m] >> r & 1:
-                        eq ^= 1 << unknown(s, m, c)
-                rows.append(eq)
+    for amap, bmap, (_, s, t) in zip(A.maps, B.maps, A.algebra.arrows):
+        bt = B.dims[t - 1]
+        if not (amap and bt):
+            continue
+        # row r of B_a as a mask over the columns m of phi_s
+        brows = [0] * bt
+        for m, col in enumerate(bmap):
+            while col:
+                low = col & -col
+                brows[low.bit_length() - 1] |= 1 << m
+                col ^= low
+        bs, ot, base = B.dims[s - 1], offset[t - 1], offset[s - 1]
+        for u in amap:
+            # the unknowns (0, p) of phi_t for the set bits p of A_a u
+            spread = 0
+            while u:
+                low = u & -u
+                spread |= 1 << (low.bit_length() - 1) * bt
+                u ^= low
+            spread <<= ot
+            for r in range(bt):
+                rows.append(spread << r ^ brows[r] << base)
+            base += bs
     return rows, total
 
 
 def hom_dim(A: Rep, B: Rep) -> int:
     """Dimension over F2 of the homomorphism space A -> B."""
+    _check_algebras(A, B)
+    if not any(map(min, A.dims, B.dims)):
+        return 0  # no vertex carries both: only the zero map
     rows, total = _hom_system(A, B)
     return gf2.nullity(rows, total)
 
@@ -361,7 +376,7 @@ def _resolve(
     """
     out = Counter()
     for k, row in enumerate(rows):
-        x = sum(a * b for a, b in zip(row, h))
+        x = sum(map(mul, row, h))
         if x < 0 or x % d:
             raise NegativeMultiplicity(
                 f"Hom counts {h} give multiplicity {x}/{d}"
@@ -410,6 +425,9 @@ class Membership:
         self.rep_pred = rep_pred
         self.name = name
         self._hom_inverse: tuple[list[list[int]], list[list[int]], int] | None = None
+        # decompositions and simplicity verdicts, keyed by representation
+        self._classes: dict[Rep, Counter] = {}
+        self._simple: dict[Rep, bool] = {}
 
     # -- constructors
 
@@ -493,18 +511,28 @@ class Membership:
                 raise SingularSystem("Hom-count matrix is singular")
             d = math.lcm(*diag)
             scaled = [[d // diag[k] * x for x in U[k]] for k in range(n)]
-            N = [
-                [sum(V[i][k] * scaled[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+            N = []
+            for i in range(n):
+                row = [0] * n
+                for v, srow in zip(V[i], scaled):
+                    if v:
+                        for j, x in enumerate(srow):
+                            row[j] += v * x
+                N.append(row)
             self._hom_inverse = (N, [list(col) for col in zip(*N)], d)
+            # only now is each entry known to be its own class
+            for k, c in enumerate(self.catalogue):
+                self._classes[c] = Counter({k: 1})
         return self._hom_inverse
 
     def decompose(self, rep: Rep) -> Counter:
-        """Multiplicities of the catalogue entries in rep."""
+        """Multiplicities of the catalogue entries in rep (a fresh Counter)."""
         N, _, d = self._inverse_hom_matrix()
-        h = tuple(hom_dim(c, rep) for c in self.catalogue)
-        return _resolve(N, d, h, self.catalogue, rep.dims)
+        classes = self._classes.get(rep)
+        if classes is None:
+            h = tuple(hom_dim(c, rep) for c in self.catalogue)
+            classes = self._classes[rep] = _resolve(N, d, h, self.catalogue, rep.dims)
+        return Counter(classes)
 
     def representative(self, key: tuple) -> Rep:
         """The direct sum of the catalogue entries of an iso_key."""
@@ -527,6 +555,8 @@ class Membership:
 class SubquotClassifier:
     """Class lookup for subobjects and quotients of one fixed object.
 
+    The tests' independent oracle for `Membership.decompose` of
+    materialized subobjects and quotients; no program path uses it.
     Decomposition classes are read off Hom-count fingerprints: maps from a
     catalogue object C into a subspace tuple U are the maps into X whose
     image lands in U, and maps from X/U out to C are the maps from X that
@@ -582,7 +612,7 @@ class SubquotClassifier:
             self._sub_cache[key] = _resolve(
                 self._N, self._d, key[0], self.E.catalogue, key[1]
             )
-        return self._sub_cache[key]
+        return Counter(self._sub_cache[key])
 
     def quot_class(self, S: SubRep) -> Counter:
         nv = self.X.algebra.vertices
@@ -612,7 +642,7 @@ class SubquotClassifier:
             self._quot_cache[key] = _resolve(
                 self._NT, self._d, key[0], self.E.catalogue, key[1]
             )
-        return self._quot_cache[key]
+        return Counter(self._quot_cache[key])
 
 
 # ---------------------------------------------------------------------------
@@ -780,39 +810,24 @@ def _admissible(X: Rep, E: Membership, subs):
 def _steps(X: Rep, E: Membership, subs, accept=lambda key: True):
     """(sub_key, quot_key) for each S among `subs` with S and X/S in E.
 
-    Keys are E.iso_key classes, sorted catalogue summands on both
-    branches.  Without a representation predicate they are read off Hom
-    fingerprints; with one, S and X/S are materialized once each, and the
-    predicate sees and iso_key classifies the same objects.  A subobject
-    whose key fails accept(key) is skipped before its quotient is
-    classified.
+    Keys are E.iso_key classes, sorted catalogue summands.  S and X/S are
+    materialized at most once each, so a representation predicate sees
+    and iso_key classifies the same objects.  A subobject whose key fails
+    accept(key) is skipped before its quotient is built.
     """
-    if E.rep_pred is not None:
-        for S in subs:
-            sub = sub_rep(X, S)
-            if not E.contains(sub):
-                continue
-            quot = quotient_rep(X, S)
-            if not E.contains(quot):
-                continue
-            sub_key = E.iso_key(sub)
-            if accept(sub_key):
-                yield sub_key, E.iso_key(quot)
-        return
-    clf = SubquotClassifier(E, X)
     for S in subs:
         qdims = tuple(d - sd for d, sd in zip(X.dims, S.dims()))
         if E.contains_dims(S.dims()) is False or E.contains_dims(qdims) is False:
             continue
-        csub = clf.sub_class(S)
-        if not E.allows(csub):
+        sub = sub_rep(X, S)
+        if not E.contains(sub):
             continue
-        sub_key = tuple(sorted(csub.elements()))
+        sub_key = E.iso_key(sub)
         if not accept(sub_key):
             continue
-        cquot = clf.quot_class(S)
-        if E.allows(cquot):
-            yield sub_key, tuple(sorted(cquot.elements()))
+        quot = quotient_rep(X, S)
+        if E.contains(quot):
+            yield sub_key, E.iso_key(quot)
 
 
 def admissible_subreps(X: Rep, E: Membership) -> list[SubRep]:
@@ -925,10 +940,15 @@ class SeriesReport:
 
 
 def is_simple_object(X: Rep, E: Membership) -> bool:
-    """Is X simple in E, i.e. are 0 and X its only admissible subobjects?"""
-    if X.is_zero():
-        return False
-    return next(_admissible(X, E, _proper_subreps(X)), None) is None
+    """Is X simple in E, i.e. are 0 and X its only admissible subobjects?
+
+    Memoized in E by the value of X.
+    """
+    simple = E._simple.get(X)
+    if simple is None:
+        proper = _admissible(X, E, _proper_subreps(X))
+        simple = E._simple[X] = not X.is_zero() and next(proper, None) is None
+    return simple
 
 
 class SeriesAnalyzer:
@@ -937,27 +957,32 @@ class SeriesAnalyzer:
     Walks maximal chains bottom-up: each first step is a simple admissible
     subobject, and the rest of any chain is a maximal chain of the
     quotient (the interval above a subobject is isomorphic to the
-    subobject poset of the quotient).  Chain sets and simplicity are
-    memoized by E.iso_key class (the sorted catalogue summands) and
-    computed on the direct sum of those summands, so analyzing many
-    objects of one subcategory shares all the work.
+    subobject poset of the quotient).  Chain sets are memoized by
+    E.iso_key class (the sorted catalogue summands) and computed on the
+    direct sum of those summands, so analyzing many objects of one
+    subcategory shares all the work; simplicity is memoized in E.
+
+    In a summand-closed E a simple object is indecomposable, so it is a
+    live catalogue entry: only subobjects with the dimension vector of a
+    simple live entry are classified as first steps.
     """
 
     def __init__(self, E: Membership):
         self.E = E
-        self._simple_memo: dict = {}
         self._chain_memo: dict = {}
+        self._firsts: frozenset[tuple] | None = None
 
     def _simple(self, key: tuple) -> bool:
-        if key not in self._simple_memo:
-            X = self.E.representative(key)
-            self._simple_memo[key] = is_simple_object(X, self.E)
-        return self._simple_memo[key]
+        return is_simple_object(self.E.representative(key), self.E)
 
-    def _simple_step(self, key: tuple) -> bool:
-        if self.E.summand_closed and len(key) != 1:
-            return False  # simple objects are indecomposable here
-        return self._simple(key)
+    def _first_keys(self) -> frozenset[tuple]:
+        """The keys (k,) of the simple live catalogue entries."""
+        if self._firsts is None:
+            E = self.E
+            self._firsts = frozenset(
+                (k,) for k in E.live if is_simple_object(E.catalogue[k], E)
+            )
+        return self._firsts
 
     def _chains(self, key: tuple) -> frozenset[tuple]:
         if key not in self._chain_memo:
@@ -966,8 +991,15 @@ class SeriesAnalyzer:
             if X.is_zero():
                 out.add(())
             else:
-                nonzero = (S for S in enumerate_subreps(X) if S.total_dim)
-                steps = _steps(X, self.E, nonzero, self._simple_step)
+                subs = enumerate_subreps(X)
+                if self.E.summand_closed:
+                    firsts = self._first_keys()
+                    dims = {self.E.catalogue[k].dims for (k,) in firsts}
+                    subs = (S for S in subs if S.dims() in dims)
+                    steps = _steps(X, self.E, subs, firsts.__contains__)
+                else:
+                    subs = (S for S in subs if S.total_dim)
+                    steps = _steps(X, self.E, subs, self._simple)
                 for sub_key, quot_key in dict.fromkeys(steps):
                     for tail in self._chains(quot_key):
                         out.add(tuple(sorted(tail + (sub_key,))))
@@ -1102,12 +1134,14 @@ def _word_of(E: Membership, summands) -> tuple[int, ...]:
 
 
 def _gluings(X: Rep, Z: Rep):
-    """Every non-split block-triangular gluing Y of Z by X.
+    """Every block-triangular gluing Y of Z by X with a nonzero block.
 
     Y_v is X_v + Z_v with X in the low coordinates, and an arrow s -> t
     acts by [[X_a, phi_a], [0, Z_a]] for a block phi_a: Z_s -> X_t.  Every
-    extension of Z by X is one of these; phi = 0 (the split X + Z) is
-    skipped, and so is a gluing that breaks a relation of the algebra.
+    extension of Z by X is one of these.  phi = 0 (the split X + Z) is
+    skipped, as is a gluing that breaks a relation of the algebra.  No
+    other split middle is: a nonzero coboundary phi gives a Y isomorphic
+    to X + Z, which `extension_relations` drops by comparing words.
     """
     algebra = X.algebra
     bits = sum(Z.dims[s - 1] * X.dims[t - 1] for _, s, t in algebra.arrows)
@@ -1139,9 +1173,10 @@ def extension_relations(
     """Middle-vs-ends relation pairs from extensions of two indecomposables.
 
     For each ordered pair (X, Z) of live catalogue entries with
-    above < grade(X) + grade(Z) <= maxlen, every non-split gluing Y of Z by
-    X is classified once by Hom counts, and (word of Y, word of X plus
-    word of Z) is kept when the two differ.  Returns the pairs sorted.
+    above < grade(X) + grade(Z) <= maxlen, every gluing Y of Z by X with a
+    nonzero block (`_gluings`) is classified once by Hom counts, and
+    (word of Y, word of X plus word of Z) is kept when the two differ,
+    which drops the split middles.  Returns the pairs sorted.
     Raises InvalidSpec as soon as some Y has a summand outside E (E is not
     extension-closed), or one outside a catalogue that is complete only up
     to some dimension (E is not within its catalogue's reach); only the

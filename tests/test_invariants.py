@@ -2,12 +2,13 @@
 import os
 import subprocess
 import sys
-from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 from jhp_lab import grothendieck as gk
 from jhp_lab import monoid, nakayama, regress, repkit, typea
 from jhp_lab.symgroup import (
+    Orientation,
     coxeter_element,
     enumerate_c_sortable,
     parse_orientation,
@@ -37,17 +38,20 @@ def test_jhp_verdict_matches_series_bruteforce_over_a3():
         assert brute == typea.jhp_verdict(w, Q3)
 
 
-def test_fingerprint_and_materializing_walks_agree_over_a3():
-    # F(w) reads classes off Hom fingerprints; the same class cut out by a
-    # representation predicate materializes subobjects and quotients
+def _walks(E):
+    """Series analyzers of E and of the same class cut out by a predicate."""
+    P = repkit.Membership.predicate(E.catalogue, E.contains, labels=E.labels)
+    return P, repkit.SeriesAnalyzer(E), repkit.SeriesAnalyzer(P)
+
+
+def test_filtered_and_predicate_walks_agree_over_a3_and_a4():
+    # F(w) is summand-closed, so its walk classifies only the subobjects
+    # with the dimension vector of a simple member; the same class cut out
+    # by a representation predicate walks every nonzero subobject
     for q in map(parse_orientation, ("1>2<3", "1<2>3", "1<2<3")):
         for w in enumerate_c_sortable(coxeter_element(q)):
             E = typea.torsion_free_membership(w, q)
-            # E.contains is pure; the cache only skips repeated decompositions
-            P = repkit.Membership.predicate(
-                E.catalogue, lru_cache(maxsize=None)(E.contains), labels=E.labels
-            )
-            fast, slow = repkit.SeriesAnalyzer(E), repkit.SeriesAnalyzer(P)
+            P, fast, slow = _walks(E)
             live = E.live
             lengths = [E.catalogue[k].total_dim for k in live]
             for word in repkit._multisets_up_to(lengths, 4):
@@ -71,6 +75,15 @@ def test_fingerprint_and_materializing_walks_agree_over_a3():
                 return [monoid.stratum_classes(pres, s).classes for s in range(5)]
 
             assert strata(pairs_e) == strata(pairs_p), (q, w)
+    # every member of every class over every orientation of A4
+    for dirs in product("><", repeat=3):
+        q = Orientation(4, dirs)
+        for w in enumerate_c_sortable(coxeter_element(q)):
+            E = typea.torsion_free_membership(w, q)
+            _, fast, slow = _walks(E)
+            for k in E.live:
+                X = E.catalogue[k]
+                assert fast.analyze(X) == slow.analyze(X), (q, w, k)
 
 
 def test_atoms_are_exactly_the_simple_objects():
@@ -116,9 +129,17 @@ def test_fingerprint_classifier_agrees_with_rep_construction():
     for E, summands in cases:
         Y = repkit.direct_sum(E.algebra, [E.catalogue[k] for k in summands])
         clf = repkit.SubquotClassifier(E, Y)
+        stray = len(E.catalogue)  # no catalogue index
         for S in repkit.enumerate_subreps(Y):
-            assert clf.sub_class(S) == E.decompose(repkit.sub_rep(Y, S))
-            assert clf.quot_class(S) == E.decompose(repkit.quotient_rep(Y, S))
+            sub, quot = repkit.sub_rep(Y, S), repkit.quotient_rep(Y, S)
+            for _ in range(2):  # the second round hits both memos
+                got = [clf.sub_class(S), E.decompose(sub)]
+                got += [clf.quot_class(S), E.decompose(quot)]
+                assert got[0] == got[1] and got[2] == got[3]
+                # a caller's edit to a returned Counter must not reach a memo
+                for classes in got:
+                    assert stray not in classes
+                    classes[stray] += 1
 
 
 def test_nakayama_class_roundtrip():

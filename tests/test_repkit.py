@@ -97,6 +97,22 @@ class TestHom:
         with pytest.raises(repkit.AlgebraMismatch):
             repkit.hom_dim(S1, single_vertex(1))
 
+    def test_algebra_mismatch_with_equal_dims_and_maps(self):
+        # the same arrow under another name: another algebra, and no memo
+        # keyed by dimensions and matrices alone may answer for it
+        S1, P, S2, E = a2_setup()
+        (name, s, t), = P.algebra.arrows
+        other = repkit.PresentedAlgebra(2, ((name + "'", s, t),), ())
+        for X in (S1, P, S2):
+            twin = repkit.Rep(other, X.dims, X.maps)
+            assert E.decompose(X) == E.decompose(repkit.direct_sum(X.algebra, [X]))
+            with pytest.raises(repkit.AlgebraMismatch):
+                E.decompose(twin)
+            with pytest.raises(repkit.AlgebraMismatch):
+                repkit.hom_dim(X, twin)
+            with pytest.raises(repkit.AlgebraMismatch):
+                repkit.hom_dim(twin, S1 if X is S2 else S2)
+
 
 class TestDecompose:
     def test_direct_sum_input(self):
@@ -160,6 +176,21 @@ class TestDecompose:
         bad = repkit.Membership.full((S1, S1, P), labels=("a", "b", "c"))
         with pytest.raises(repkit.SingularSystem):
             bad.decompose(P)
+        # first met through the simple-object test (an additive membership
+        # decomposes subobjects; a full one needs no decomposition there)
+        # and through the series search, for objects equal to catalogue
+        # entries
+        for first in (
+            lambda E: repkit.is_simple_object(P, E),
+            lambda E: repkit.series_analysis(S1, E),
+            lambda E: repkit.series_analysis(P, E),
+        ):
+            bad = repkit.Membership.additive(
+                (S1, S1, P), frozenset({0, 1, 2}), labels=("a", "b", "c")
+            )
+            for _ in range(2):
+                with pytest.raises(repkit.SingularSystem):
+                    first(bad)
 
     def test_catalogue_missing_an_indecomposable_detected(self):
         # declared complete without S2: Hom counts into S2 and into P + S2

@@ -74,6 +74,22 @@ class TestSimples:
             assert simples <= typea.class_of(w, Q4).modules
             assert len(simples) >= len(support(w))
 
+    def test_brute_force_simples_are_bruhat_inversions_over_a5(self):
+        # every class of every orientation of A5 against the oracle
+        classes = 0
+        for dirs in product("><", repeat=4):
+            q = Orientation(5, dirs)
+            mods, reps = typea.interval_catalogue(q)
+            for w in enumerate_c_sortable(coxeter_element(q)):
+                E = typea.torsion_free_membership(w, q)
+                brute = {
+                    (mods[k].i, mods[k].j)
+                    for k in E.live
+                    if repkit.is_simple_object(reps[k], E)
+                }
+                assert brute == set(bruhat_inversions(w)), (q, w)
+                classes += 1
+        assert classes == 2112
 
     def test_splice_inside_class_forces_nonsimple(self):
         # whenever both halves of a splice lie in F(w), the middle is not
