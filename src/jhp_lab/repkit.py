@@ -35,7 +35,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 
 from . import gf2
@@ -279,11 +279,7 @@ def _hom_system(A: Rep, B: Rep) -> tuple[list[int], int]:
     A_a and target row r of B_a.
     """
     _check_algebras(A, B)
-    offset = []
-    total = 0
-    for da, db in zip(A.dims, B.dims):
-        offset.append(total)
-        total += da * db
+    offset = [0, *accumulate(map(mul, A.dims, B.dims))]
     rows = []
     for amap, bmap, (_, s, t) in zip(A.maps, B.maps, A.algebra.arrows):
         bt = B.dims[t - 1]
@@ -308,7 +304,7 @@ def _hom_system(A: Rep, B: Rep) -> tuple[list[int], int]:
             for r in range(bt):
                 rows.append(spread << r ^ brows[r] << base)
             base += bs
-    return rows, total
+    return rows, offset[-1]
 
 
 def hom_dim(A: Rep, B: Rep) -> int:
